@@ -157,9 +157,6 @@ struct ScenarioParams {
   /// Simulator-core fast path (timer wheel + interval dedup); false runs
   /// the historic heap/set oracle. Only --simcore mode flips this.
   bool sim_core = true;
-  /// Sharded event loop: worker lanes by coordinate region, 1 = the
-  /// classic single-threaded loop. Only the --simcore shard cells vary it.
-  std::size_t sim_shards = 1;
   /// Membership drawn from each root's neighbourhood instead of uniformly.
   /// Corridor-greedy control routing is only guaranteed on the
   /// full-knowledge empty-rect equilibrium; on a grid-kNN local-knowledge
@@ -184,7 +181,6 @@ struct ScenarioOutcome {
   std::size_t retained_peak = 0;
   std::size_t retained_entries = 0;   // entries left across all buffers
   std::size_t retained_buffers = 0;   // live (peer, group) buffers
-  sim::ShardMetrics shard;            // per-lane events + barrier accounting
   double run_secs = 0.0;
 
   [[nodiscard]] double payload_per_publish() const {
@@ -224,7 +220,6 @@ ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
   config.publisher_batch_window = params.publisher_batch_window;
   config.graft_prefix_batch = params.graft_prefix_batch;
   config.sim_core = params.sim_core;
-  config.sim_shards = params.sim_shards;
   groups::PubSubSystem system(graph, config);
   if (trace_sink != nullptr) system.set_trace_sink(trace_sink);
   // The sampler's ticks are simulator events, so a sampled run's
@@ -363,7 +358,6 @@ ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
   outcome.retained_peak = system.manager().retained_peak();
   outcome.retained_entries = system.manager().retained_entry_total();
   outcome.retained_buffers = system.manager().retained_buffer_count();
-  outcome.shard = system.simulator().shard_metrics();
   if (snapshot_json != nullptr) *snapshot_json = sampler->to_json();
   // Pool reset between cells: return the payload pool's cached blocks
   // before the next cell's system constructs, so one cell's high-water
@@ -1349,74 +1343,6 @@ SimCoreCell run_simcore_cell(const std::string& name,
   return cell;
 }
 
-/// One shard count's run in a scaling cell, plus its equivalence verdicts
-/// against the shards=1 oracle of the same cell.
-struct ShardScaleCell {
-  std::size_t shards = 1;
-  ScenarioOutcome outcome;
-  std::set<DeliveryKey> delivered;
-  bool delivered_identical = true;
-  bool stats_identical = true;
-  bool events_identical = true;
-
-  [[nodiscard]] bool identical() const {
-    return delivered_identical && stats_identical && events_identical;
-  }
-};
-
-/// Runs one workload across a shard-count axis on the same overlay.
-/// shards = 1 is the untouched classic loop and serves as the oracle every
-/// other count is compared against — delivered sets, stats JSON, event
-/// counts all bit-identical, with events/sec and barrier accounting
-/// reported per count for the scaling trajectory.
-std::vector<ShardScaleCell> run_shard_scaling(const overlay::OverlayGraph& graph,
-                                              ScenarioParams params,
-                                              multicast::QoS qos, double loss,
-                                              const std::vector<std::size_t>& axis) {
-  std::vector<ShardScaleCell> cells;
-  for (const std::size_t shards : axis) {
-    ShardScaleCell cell;
-    cell.shards = shards;
-    params.sim_shards = shards;
-    cell.outcome = run_scenario(graph, params, qos, loss, &cell.delivered);
-    if (!cells.empty()) {
-      const ShardScaleCell& oracle = cells.front();
-      cell.delivered_identical =
-          cell.delivered == oracle.delivered && !cell.delivered.empty();
-      cell.stats_identical =
-          core_stats_json(cell.outcome) == core_stats_json(oracle.outcome);
-      cell.events_identical = cell.outcome.events == oracle.outcome.events;
-    }
-    cells.push_back(std::move(cell));
-  }
-  return cells;
-}
-
-std::string shard_cell_json(const std::string& name, const ShardScaleCell& cell,
-                            double baseline_events_per_sec) {
-  std::ostringstream json;
-  json.precision(10);
-  const double rate = SimCoreCell::events_per_sec(cell.outcome);
-  json << "{\"cell\":\"" << name << "\",\"shards\":" << cell.shards
-       << ",\"sim_events\":" << cell.outcome.events << ",\"run_secs\":"
-       << cell.outcome.run_secs << ",\"events_per_sec\":" << rate
-       << ",\"speedup_vs_1\":"
-       << (baseline_events_per_sec > 0.0 ? rate / baseline_events_per_sec : 0.0)
-       << ",\"delivered_identical\":" << (cell.delivered_identical ? "true" : "false")
-       << ",\"stats_identical\":" << (cell.stats_identical ? "true" : "false")
-       << ",\"events_identical\":" << (cell.events_identical ? "true" : "false")
-       << ",\"windows\":" << cell.outcome.shard.windows
-       << ",\"instants\":" << cell.outcome.shard.instants
-       << ",\"barrier_wait_secs\":" << cell.outcome.shard.barrier_wait_seconds
-       << ",\"lane_events\":[";
-  for (std::size_t i = 0; i < cell.outcome.shard.lane_events.size(); ++i) {
-    if (i > 0) json << ",";
-    json << cell.outcome.shard.lane_events[i];
-  }
-  json << "]}";
-  return json.str();
-}
-
 /// The ISSUE tentpole acceptance harness: the 1000-peer QoS 1 batched gate
 /// cell on the full-knowledge overlay, plus a 100k-peer sweep cell on a
 /// grid-kNN local-knowledge overlay (build_equilibrium is O(n^2) selector
@@ -1426,17 +1352,9 @@ std::string shard_cell_json(const std::string& name, const ShardScaleCell& cell,
 /// bit-identical delivered sets, byte-identical stats JSON, and equal
 /// sim_events in every cell; reports events/sec per mode for the
 /// regression trajectory (BENCH_simcore.json).
-///
-/// Two shard-scaling cells ride along: the 100k sweep overlay and a dense
-/// 10k-peer cell (heavier per-peer traffic), each swept over the
-/// sim_shards axis with shards=1 as the oracle. The >= 2.5x speedup target
-/// at 4 shards only gates when the host has >= 4 hardware threads — on
-/// smaller runners the numbers are recorded, honestly slower and all, and
-/// the bit-identity gates still apply.
 int run_simcore(ScenarioParams params, std::size_t dims, multicast::QoS qos,
                 double loss, bool csv, const std::string& json_path,
-                std::size_t sweep_peers, std::size_t knn_k,
-                std::size_t max_shards, std::size_t dense_peers) {
+                std::size_t sweep_peers, std::size_t knn_k) {
   std::vector<SimCoreCell> cells;
   {
     util::Rng rng(params.seed);
@@ -1463,34 +1381,6 @@ int run_simcore(ScenarioParams params, std::size_t dims, multicast::QoS qos,
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     cells.push_back(run_simcore_cell("sweep100k", graph, sweep, qos, loss, secs));
-  }
-
-  // Shard-scaling cell: dense 10k-peer grid-kNN overlay, the full
-  // publish/churn workload, swept over the sim_shards axis.
-  std::vector<std::size_t> shard_axis{1, 2, 4};
-  if (max_shards > 0) shard_axis.push_back(max_shards);
-  std::sort(shard_axis.begin(), shard_axis.end());
-  shard_axis.erase(std::unique(shard_axis.begin(), shard_axis.end()),
-                   shard_axis.end());
-  std::vector<ShardScaleCell> dense_cells;
-  double dense_overlay_secs = 0.0;
-  if (dense_peers > 0) {
-    ScenarioParams dense = params;
-    dense.peers = dense_peers;
-    dense.local_members = true;
-    // Unbatched: coalescing would shrink the workload to a few dozen
-    // events per window, starving the worker lanes. The scaling cell
-    // wants every publish to be its own wave — dense traffic is the
-    // regime sharding exists for.
-    dense.batch_window = 0.0;
-    util::Rng rng(params.seed + 2);
-    const auto points = geometry::random_points(rng, dense.peers, dims, 100.0);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto graph =
-        overlay::build_equilibrium_local(points, overlay::EmptyRectSelector{}, knn_k);
-    dense_overlay_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    dense_cells = run_shard_scaling(graph, dense, qos, loss, shard_axis);
   }
 
   bool delivered_ok = true, stats_ok = true, events_ok = true;
@@ -1533,88 +1423,38 @@ int run_simcore(ScenarioParams params, std::size_t dims, multicast::QoS qos,
                << ",\n     \"oracle\":" << scenario_json(params, qos, loss, cell.oracle)
                << "}";
   }
-  // Shard gates: bit-identity holds unconditionally; the speedup target
-  // only applies when the host can actually run 4 workers in parallel.
-  bool shard_ok = true;
-  double speedup_at4 = 0.0;
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  util::Table shard_table({"cell", "shards", "events", "run_secs", "events_per_sec",
-                           "speedup_vs_1", "windows", "barrier_wait_secs",
-                           "identical"});
-  std::ostringstream shard_json;
-  shard_json.precision(10);
-  const double dense_base =
-      dense_cells.empty() ? 0.0 : SimCoreCell::events_per_sec(dense_cells.front().outcome);
-  for (const auto& cell : dense_cells) {
-    shard_ok = shard_ok && cell.identical();
-    const double rate = SimCoreCell::events_per_sec(cell.outcome);
-    if (cell.shards == 4 && dense_base > 0.0) speedup_at4 = rate / dense_base;
-    shard_table.begin_row()
-        .add_cell("dense10k")
-        .add_number(static_cast<double>(cell.shards), 0)
-        .add_number(static_cast<double>(cell.outcome.events), 0)
-        .add_number(cell.outcome.run_secs, 4)
-        .add_number(rate, 0)
-        .add_number(dense_base > 0.0 ? rate / dense_base : 0.0, 3)
-        .add_number(static_cast<double>(cell.outcome.shard.windows), 0)
-        .add_number(cell.outcome.shard.barrier_wait_seconds, 4)
-        .add_cell(cell.identical() ? "yes" : "NO");
-    if (shard_json.tellp() > 0) shard_json << ",";
-    shard_json << "\n    " << shard_cell_json("dense10k", cell, dense_base);
-  }
-  const bool scaling_applicable = hw_threads >= 4 && speedup_at4 > 0.0;
-  const bool scaling_ok = !scaling_applicable || speedup_at4 >= 2.5;
-  const bool all_ok = delivered_ok && stats_ok && events_ok && shard_ok && scaling_ok;
+  const bool all_ok = delivered_ok && stats_ok && events_ok;
   if (!json_path.empty()) {
     std::ostringstream json;
     json.precision(10);
     json << "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": \"simcore\",\n"
          << "  \"params\": " << params_json(params) << ",\n  \"cells\": ["
-         << cells_json.str() << "\n  ],\n  \"shard_cells\": ["
-         << shard_json.str() << "\n  ],\n  \"dense_overlay_secs\": "
-         << dense_overlay_secs << ",\n  \"hardware_threads\": " << hw_threads
-         << ",\n  \"shard_speedup_at4\": " << speedup_at4
+         << cells_json.str() << "\n  ],\n  \"hardware_threads\": " << hw_threads
          << ",\n  \"gate_delivered_identical\": "
          << (delivered_ok ? "true" : "false")
          << ",\n  \"gate_stats_identical\": " << (stats_ok ? "true" : "false")
          << ",\n  \"gate_events_identical\": " << (events_ok ? "true" : "false")
-         << ",\n  \"gate_shard_identical\": " << (shard_ok ? "true" : "false")
-         << ",\n  \"gate_shard_scaling\": " << (scaling_ok ? "true" : "false")
-         << ",\n  \"shard_scaling_gated\": "
-         << (scaling_applicable ? "true" : "false") << "\n}";
+         << "\n}";
     write_json_file(json_path, json.str());
   }
   if (csv) {
     table.print_csv(std::cout);
-    shard_table.print_csv(std::cout);
   } else {
     std::cout << "=== pub/sub simulator-core equivalence: fast path vs heap/set"
                  " oracle, qos=" << static_cast<int>(qos) << ", loss=" << loss
               << ", seed " << params.seed << " ===\n\n";
     table.print(std::cout);
-    if (!dense_cells.empty()) {
-      std::cout << "\n=== sharded event loop scaling: dense 10k cell, shards=1"
-                   " oracle, " << hw_threads << " hardware thread(s) ===\n\n";
-      shard_table.print(std::cout);
-    }
     std::cout << "\nacceptance: delivered (peer, group, seq) sets bit-identical: "
               << (delivered_ok ? "PASS" : "FAIL")
               << "\nacceptance: GroupStats+NetworkStats JSON byte-identical: "
               << (stats_ok ? "PASS" : "FAIL")
               << "\nacceptance: sim_events equal: " << (events_ok ? "PASS" : "FAIL")
-              << "\nacceptance: sharded loop bit-identical at every shard count: "
-              << (shard_ok ? "PASS" : "FAIL")
-              << "\nacceptance: >= 2.5x events/sec at 4 shards (gated only with"
-                 " >= 4 hardware threads): "
-              << (scaling_ok ? (scaling_applicable ? "PASS" : "PASS (not gated)")
-                             : "FAIL")
               << "\n";
   }
   if (!all_ok)
     std::cerr << "pubsub_throughput: simcore gate failed (delivered=" << delivered_ok
-              << ", stats=" << stats_ok << ", events=" << events_ok
-              << ", shard_identical=" << shard_ok << ", shard_scaling="
-              << scaling_ok << ")\n";
+              << ", stats=" << stats_ok << ", events=" << events_ok << ")\n";
   return all_ok ? 0 : 2;
 }
 
@@ -2011,13 +1851,8 @@ int main(int argc, char** argv) {
       const auto sweep_peers =
           static_cast<std::size_t>(flags.get_int("simcore-peers", 100000));
       const auto knn_k = static_cast<std::size_t>(flags.get_int("simcore-k", 16));
-      // --shards caps the scaling axis ({1, 2, 4} + N); --simcore-dense-peers
-      // sizes the dense shard-scaling cell (0 skips it).
-      const auto max_shards = static_cast<std::size_t>(flags.get_int("shards", 4));
-      const auto dense_peers =
-          static_cast<std::size_t>(flags.get_int("simcore-dense-peers", 10000));
       return run_simcore(params, dims, simcore_qos, loss, csv, json_path,
-                         sweep_peers, knn_k, max_shards, dense_peers);
+                         sweep_peers, knn_k);
     }
 
     // Hot group (ISSUE 10): one group, all eligible peers subscribed,

@@ -549,16 +549,6 @@ std::size_t GroupManager::retain_payload(PeerId peer, GroupId group, std::uint64
                      .try_emplace(group, config_.retention_window)
                      .first->second;
   const std::size_t evicted = buffer.retain(lo, hi, std::move(payload));
-  // Worker lanes track their own peak (a plain max, so the barrier-time
-  // fold commutes); the shared gauge is coordinator-only.
-  if (lane_fn_ != nullptr) {
-    const int lane = lane_fn_();
-    if (lane >= 0) {
-      auto& peak = lane_retained_peak_[static_cast<std::size_t>(lane)];
-      peak = std::max(peak, buffer.size());
-      return evicted;
-    }
-  }
   retained_peak_ = std::max(retained_peak_, buffer.size());
   return evicted;
 }
@@ -921,24 +911,6 @@ std::vector<GroupId> GroupManager::known_groups() const {
   ids.reserve(groups_.size());
   for (const auto& [group, gs] : groups_) ids.push_back(group);
   return ids;
-}
-
-void GroupManager::configure_lanes(std::size_t lanes, LaneFn lane_fn) {
-  lane_stats_.clear();
-  lane_stats_.resize(lanes);
-  lane_retained_peak_.assign(lanes, 0);
-  lane_fn_ = lane_fn;
-}
-
-void GroupManager::collapse_lane_stats() {
-  for (auto& per_lane : lane_stats_) {
-    for (auto& [group, delta] : per_lane) state_of(group).stats += delta;
-    per_lane.clear();
-  }
-  for (std::size_t& peak : lane_retained_peak_) {
-    retained_peak_ = std::max(retained_peak_, peak);
-    peak = 0;
-  }
 }
 
 }  // namespace geomcast::groups

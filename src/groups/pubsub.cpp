@@ -4,7 +4,6 @@
 #include <any>
 #include <stdexcept>
 
-#include "overlay/grid_knn.hpp"
 #include "overlay/routing.hpp"
 
 namespace geomcast::groups {
@@ -380,116 +379,18 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
   }
   if (heartbeats_enabled()) hb_seen_.resize(graph.size());
 
-  // Slot 0 serves the classic loop and every coordinator-side context;
-  // setup_shards widens this to one slot per lane.
-  fresh_scratch_.resize(1);
-
   nodes_.reserve(graph.size());
   for (PeerId p = 0; p < graph.size(); ++p) {
     nodes_.push_back(std::make_unique<PubSubNode>(p, *this));
     sim_->add_node(*nodes_[p]);
   }
-  setup_shards();
-}
-
-void PubSubSystem::setup_shards() {
-  if (config_.sim_shards <= 1) return;
-  const std::size_t workers = std::min(config_.sim_shards, graph_.size());
-  if (workers <= 1) return;
-  // Conservative-window preconditions. The lookahead is the latency
-  // model's minimum delay: every worker-side send lands at least that far
-  // in the future, past the window bound. Worker-armed TIMERS get no such
-  // physics for free, so the two timer delays armed from worker contexts
-  // (per-hop ack timeout, QoS 2 gap timeout) must each cover one lookahead.
-  const double lookahead = sim_->network().min_delay();
-  if (lookahead <= 0.0)
-    throw std::invalid_argument(
-        "PubSubConfig::sim_shards: latency model needs a positive minimum "
-        "delay (the sharded loop's lookahead)");
-  if (acked() && config_.reliability.ack_timeout < lookahead)
-    throw std::invalid_argument(
-        "PubSubConfig::sim_shards: ack_timeout must be >= the latency "
-        "model's minimum delay");
-  if (end_to_end() && config_.repair.gap_timeout < lookahead)
-    throw std::invalid_argument(
-        "PubSubConfig::sim_shards: repair.gap_timeout must be >= the "
-        "latency model's minimum delay");
-  // Region assignment: contiguous coordinate bands off the same bucket
-  // grid the overlay build walks, one worker lane per band (lane 0 is the
-  // control lane).
-  const auto regions = overlay::grid_regions(graph_.points(), workers);
-  node_lane_.assign(graph_.size(), 0);
-  for (PeerId p = 0; p < graph_.size(); ++p) node_lane_[p] = regions[p] + 1;
-  sim_->configure_shards(workers, &PubSubSystem::route_thunk, this);
-  sim_->set_ext_handler(&PubSubSystem::ext_thunk, this);
-  sim_->set_barrier_hook(&PubSubSystem::barrier_thunk, this);
-  // Per-lane stat sinks: worker-context writes land in lane deltas the
-  // barrier hook collapses; coordinator-context writes go straight to the
-  // shared aggregates as ever.
-  sim_->network().configure_lanes(workers + 1, &sim::Simulator::parallel_lane);
-  manager_->configure_lanes(workers + 1, &sim::Simulator::parallel_lane);
-  // The data plane's per-hop state splits by the SENDER's home lane (the
-  // whole send/timeout/ack cycle of a hop runs in that lane); the graft
-  /// and replica planes are pure control traffic and stay single-lane.
-  hop_->configure_lanes(node_lane_);
-  fresh_scratch_.resize(workers + 1);
-}
-
-std::uint32_t PubSubSystem::route_thunk(void* ctx, const sim::Envelope& envelope) {
-  auto* system = static_cast<PubSubSystem*>(ctx);
-  switch (envelope.kind) {
-    case kDeliverKind:
-    case kDeliverAckKind:
-    case kHeartbeatKind:
-      return system->node_lane_[envelope.to];
-    default:
-      return 0;
-  }
-}
-
-void PubSubSystem::ext_thunk(void* ctx, std::uint64_t a, std::uint64_t b,
-                             std::uint64_t c, double v) {
-  auto* system = static_cast<PubSubSystem*>(ctx);
-  const std::uint64_t op = a >> 48;
-  const PeerId peer = static_cast<PeerId>(a & ((std::uint64_t{1} << 48) - 1));
-  switch (op) {
-    case kExtDeliver:
-      system->apply_delivery(peer, b, c, v);
-      return;
-    case kExtGapRepair: {
-      GroupStats& stats = system->manager_->stats(b);
-      stats.gap_latency_total += v;
-      stats.gap_repair_latency.record(v);
-      return;
-    }
-    default:
-      throw std::logic_error("PubSubSystem: unknown ext op");
-  }
-}
-
-void PubSubSystem::barrier_thunk(void* ctx) {
-  static_cast<PubSubSystem*>(ctx)->on_barrier();
-}
-
-void PubSubSystem::on_barrier() {
-  sim_->network().collapse_lane_deltas();
-  manager_->collapse_lane_stats();
-  if (trace_sink_ != nullptr) trace_sink_->collapse_lanes();
 }
 
 PubSubSystem::~PubSubSystem() = default;
 
 void PubSubSystem::set_trace_sink(obs::TraceSink* sink) {
-  trace_sink_ = sink;
   tracer_.attach(sink);
   manager_->set_trace_sink(sink);
-  if (!node_lane_.empty() && sink != nullptr) {
-    // Worker-context trace records land in per-lane buffers and are merged
-    // deterministically at each barrier; same (time, order) sort key at
-    // every shard count.
-    sink->configure_lanes(sim_->worker_lanes() + 1, &sim::Simulator::parallel_lane,
-                          &sim::Simulator::parallel_order);
-  }
   // The hop layer's trace taps are installed only while a sink is attached:
   // with tracing off the hooks are empty std::functions and the fast path
   // pays a single bool test per transmit.
@@ -1215,10 +1116,9 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
     // Under QoS 0 the dedup is moot: the snapshot is a tree (one parent
     // per peer) and every wave has a unique (group, seq range), so without
     // retransmissions a peer can never receive the same wave twice.
-    auto& scratch = fresh_scratch_[sim::Simulator::scratch_lane()];
-    scratch.clear();
-    scratch.emplace_back(delivery.seq, delivery.seq_hi);
-    fresh = &scratch;
+    fresh_scratch_.clear();
+    fresh_scratch_.emplace_back(delivery.seq, delivery.seq_hi);
+    fresh = &fresh_scratch_;
   }
   // Forwarding reads the wave's own snapshot, never the live cache — a
   // mid-wave graft/prune/rebuild affects later publishes only.
@@ -1315,7 +1215,7 @@ void PubSubSystem::disseminate_sharded(PeerId self, PeerId from,
 
 const std::vector<std::pair<std::uint64_t, std::uint64_t>>& PubSubSystem::fresh_runs(
     PeerId self, GroupId group, std::uint64_t lo, std::uint64_t hi) {
-  auto& fresh = fresh_scratch_[sim::Simulator::scratch_lane()];
+  auto& fresh = fresh_scratch_;
   fresh.clear();
   if (!config_.sim_core) {
     // Oracle path: one set node per seq.
@@ -1395,19 +1295,6 @@ void PubSubSystem::deliver_range(PeerId self, GroupId group, std::uint64_t lo,
                                  std::uint64_t hi) {
   GroupStats& stats = manager_->stats(group);
   const double now = sim_->now();
-  if (sim::Simulator::parallel_lane() >= 0) {
-    // Worker context: the integer tally goes to this lane's delta, the
-    // latency record and probe are order-sensitive floating-point work —
-    // log them and let the barrier replay in canonical cross-lane order.
-    for (std::uint64_t seq = lo; seq <= hi; ++seq) {
-      ++stats.deliveries;
-      sim_->log_ext((kExtDeliver << 48) | self, group, seq, now);
-      if (tracer_.enabled())
-        tracer_.emit({now, obs::TraceEventType::kDelivery, group, obs::kNoWave,
-                      seq, seq, self});
-    }
-    return;
-  }
   const auto it = accept_times_.find(group);
   const std::vector<double>* times =
       it == accept_times_.end() ? nullptr : &it->second;
@@ -1425,27 +1312,16 @@ void PubSubSystem::deliver_range(PeerId self, GroupId group, std::uint64_t lo,
 void PubSubSystem::deliver_local(PeerId self, GroupId group, std::uint64_t seq) {
   GroupStats& stats = manager_->stats(group);
   ++stats.deliveries;
-  emit_delivery(self, group, seq);
+  apply_delivery(self, group, seq);
   if (tracer_.enabled())
     tracer_.emit({sim_->now(), obs::TraceEventType::kDelivery, group, obs::kNoWave,
                   seq, seq, self});
 }
 
-void PubSubSystem::emit_delivery(PeerId self, GroupId group, std::uint64_t seq) {
-  if (sim::Simulator::parallel_lane() >= 0) {
-    sim_->log_ext((kExtDeliver << 48) | self, group, seq, sim_->now());
-    return;
-  }
-  apply_delivery(self, group, seq, sim_->now());
-}
-
-void PubSubSystem::apply_delivery(PeerId self, GroupId group, std::uint64_t seq,
-                                  double time) {
+void PubSubSystem::apply_delivery(PeerId self, GroupId group, std::uint64_t seq) {
   // Publish -> delivery latency, recorded unconditionally (seq indexes the
   // accept-time vector because seqs are assigned densely at the root).
-  // Runs on the coordinator only — directly on the classic loop, or as the
-  // canonical-order barrier replay of a worker's log_ext record; either way
-  // the operands and accumulation order are bit-identical.
+  const double time = sim_->now();
   const auto it = accept_times_.find(group);
   if (it != accept_times_.end() && seq < it->second.size())
     manager_->stats(group).delivery_latency.record(time - it->second[seq]);
@@ -1505,14 +1381,8 @@ void PubSubSystem::window_observe(PeerId self, const GroupDelivery& delivery,
 void PubSubSystem::arm_gap_timer(PeerId self, GroupId group, WindowState& ws) {
   if (ws.timer_armed) return;
   ws.timer_armed = true;
-  // Control-lane timer: on_gap_timer reads cross-lane state (the hop
-  // layer's aggregate pending_to, the live window map), so it must run at
-  // an instant with the workers parked. setup_shards guarantees
-  // gap_timeout >= lookahead, which keeps a worker-armed control event
-  // past the current window's bound. On the classic loop this is a plain
-  // schedule_after.
-  sim_->schedule_control_after(config_.repair.gap_timeout,
-                               [this, self, group]() { on_gap_timer(self, group); });
+  sim_->schedule_after(config_.repair.gap_timeout,
+                       [this, self, group]() { on_gap_timer(self, group); });
 }
 
 std::vector<PeerId> PubSubSystem::ancestor_chain(PeerId self, GroupId group,
@@ -1547,15 +1417,8 @@ void PubSubSystem::finish_gap(PeerId self, GroupId group, WindowState& ws,
   if (it == ws.gaps.end()) return;
   if (repaired) {
     const double latency = sim_->now() - it->second.detected_at;
-    if (sim::Simulator::parallel_lane() >= 0) {
-      // Same story as delivery latency: the subtraction's operands are
-      // deterministic, but += and histogram-record order across lanes is
-      // not — defer both to the barrier's canonical replay.
-      sim_->log_ext((kExtGapRepair << 48) | self, group, seq, latency);
-    } else {
-      stats.gap_latency_total += latency;
-      stats.gap_repair_latency.record(latency);
-    }
+    stats.gap_latency_total += latency;
+    stats.gap_repair_latency.record(latency);
     ++stats.gap_seqs_repaired;
     if (tracer_.enabled())
       tracer_.emit({sim_->now(), obs::TraceEventType::kGapRepaired, group,

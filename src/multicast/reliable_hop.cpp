@@ -1,6 +1,5 @@
 #include "multicast/reliable_hop.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -13,54 +12,42 @@ ReliableHopLayer::ReliableHopLayer(sim::Simulator& sim, sim::MessageKind data_ki
       data_kind_(data_kind),
       ack_kind_(ack_kind),
       config_(config),
-      hooks_(std::move(hooks)),
-      lanes_(1) {}
-
-void ReliableHopLayer::configure_lanes(std::vector<std::uint32_t> node_lane) {
-  if (pending() != 0)
-    throw std::logic_error("ReliableHopLayer::configure_lanes: hops already pending");
-  std::uint32_t max_lane = 0;
-  for (const std::uint32_t lane : node_lane) max_lane = std::max(max_lane, lane);
-  lanes_ = std::vector<LaneTable>(static_cast<std::size_t>(max_lane) + 1);
-  node_lane_ = std::move(node_lane);
-}
+      hooks_(std::move(hooks)) {}
 
 void ReliableHopLayer::send(sim::NodeId from, sim::NodeId to, std::uint64_t seq,
                             std::any payload, sim::MessageKind kind) {
-  LaneTable& lane = lane_of(from);
   const sim::MessageKind wire_kind = kind == kInvalidKind ? data_kind_ : kind;
   if (config_.qos == QoS::kFireAndForget) {
     if (trace_.on_transmit) trace_.on_transmit(from, to, seq, /*attempt=*/0, payload);
     sim_.send(from, to, wire_kind, std::move(payload));
-    ++lane.stats.data_messages;
+    ++stats_.data_messages;
     return;
   }
   const Key key{from, to, seq};
-  const auto [it, inserted] = lane.pending.try_emplace(key);
+  const auto [it, inserted] = pending_.try_emplace(key);
   if (!inserted)
     throw std::logic_error("ReliableHopLayer::send: seq already pending on this hop");
   it->second.key = key;
   it->second.payload = std::move(payload);
   it->second.kind = kind;
-  if (lane.pending_by_receiver.size() <= to)
-    lane.pending_by_receiver.resize(static_cast<std::size_t>(to) + 1, 0);
-  ++lane.pending_by_receiver[to];
+  if (pending_by_receiver_.size() <= to)
+    pending_by_receiver_.resize(static_cast<std::size_t>(to) + 1, 0);
+  ++pending_by_receiver_[to];
   transmit(it->second, /*attempt=*/0);
 }
 
 void ReliableHopLayer::retire(Key key) {
-  LaneTable& lane = lane_of(key.from);
-  --lane.pending_by_receiver[key.to];
-  lane.pending.erase(key);
+  --pending_by_receiver_[key.to];
+  pending_.erase(key);
 }
 
 void ReliableHopLayer::transmit(Pending& entry, std::size_t attempt) {
   const auto [from, to, seq] = entry.key;
   sim_.send(from, to, entry.kind == kInvalidKind ? data_kind_ : entry.kind,
             entry.payload);
-  ++lane_of(from).stats.data_messages;
+  ++stats_.data_messages;
   if (attempt > 0) {
-    ++lane_of(from).stats.retransmissions;
+    ++stats_.retransmissions;
     sim_.network().note_retransmission();
     if (hooks_.on_retransmit) hooks_.on_retransmit(from, to, seq, entry.payload);
   }
@@ -69,9 +56,7 @@ void ReliableHopLayer::transmit(Pending& entry, std::size_t attempt) {
   // Arm the retransmission timer; on_ack cancels it. The node pointer is
   // stable and outlives any timer that can still fire (see Pending), so
   // the event is a raw (thunk, this, node*) triple — the queue's
-  // allocation-free fast path. Under the sharded loop the timer lands in
-  // the sender's own lane (transmit always runs in node_lane[from]'s
-  // context), keeping the whole cycle lane-local.
+  // allocation-free fast path.
   entry.timer = sim_.schedule_after(
       config_.ack_timeout, &ReliableHopLayer::timeout_thunk, this,
       reinterpret_cast<std::uint64_t>(&entry));
@@ -92,7 +77,7 @@ void ReliableHopLayer::on_timeout(Pending& entry) {
     transmit(entry, entry.attempt + 1);
     return;
   }
-  ++lane_of(from).stats.abandoned_hops;
+  ++stats_.abandoned_hops;
   sim_.network().note_abandoned();
   if (hooks_.on_abandon) hooks_.on_abandon(from, to, seq, entry.payload);
   retire(entry.key);
@@ -102,36 +87,15 @@ void ReliableHopLayer::acknowledge(sim::NodeId self, sim::NodeId sender,
                                    std::uint64_t seq) {
   if (config_.qos == QoS::kFireAndForget) return;
   sim_.send(self, sender, ack_kind_, HopAck{seq});
-  // Charged to the acker's own lane: acknowledge runs in the receiver's
-  // execution context.
-  ++lane_of(self).stats.ack_messages;
+  ++stats_.ack_messages;
   if (trace_.on_ack_sent) trace_.on_ack_sent(self, sender, seq);
-}
-
-const HopStats& ReliableHopLayer::stats() const noexcept {
-  total_stats_ = HopStats{};
-  for (const LaneTable& lane : lanes_) {
-    total_stats_.data_messages += lane.stats.data_messages;
-    total_stats_.ack_messages += lane.stats.ack_messages;
-    total_stats_.retransmissions += lane.stats.retransmissions;
-    total_stats_.abandoned_hops += lane.stats.abandoned_hops;
-  }
-  return total_stats_;
-}
-
-std::size_t ReliableHopLayer::pending_to(sim::NodeId to) const noexcept {
-  std::size_t total = 0;
-  for (const LaneTable& lane : lanes_)
-    if (to < lane.pending_by_receiver.size()) total += lane.pending_by_receiver[to];
-  return total;
 }
 
 void ReliableHopLayer::on_ack(const sim::Envelope& envelope) {
   // The acker is the hop's receiver, the addressee its sender.
   const auto& ack = std::any_cast<const HopAck&>(envelope.payload);
-  LaneTable& lane = lane_of(envelope.to);
-  const auto it = lane.pending.find(Key{envelope.to, envelope.from, ack.seq});
-  if (it == lane.pending.end()) return;  // late ack: hop already retired
+  const auto it = pending_.find(Key{envelope.to, envelope.from, ack.seq});
+  if (it == pending_.end()) return;  // late ack: hop already retired
   sim_.cancel(it->second.timer);
   retire(it->first);
 }

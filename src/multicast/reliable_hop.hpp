@@ -118,14 +118,6 @@ class ReliableHopLayer {
   ReliableHopLayer(const ReliableHopLayer&) = delete;
   ReliableHopLayer& operator=(const ReliableHopLayer&) = delete;
 
-  /// Sharded event loop wiring: splits the pending table by the SENDER's
-  /// home lane (`node_lane[from]`), so a hop's entire ack/retransmit cycle
-  /// — send, timeout, ack arrival (routed to the sender's region) — runs
-  /// in one lane whether on its worker thread or on the quiesced
-  /// coordinator. Aggregate accessors (stats/pending/pending_to) sum the
-  /// lanes; they must only run while workers are parked.
-  void configure_lanes(std::vector<std::uint32_t> node_lane);
-
   /// Sender half: transmits `payload` from -> to and, under QoS 1, arms the
   /// ack-timeout/retransmit cycle. `seq` must be unique per logical
   /// (from, to) transfer and must not collide with one still pending.
@@ -150,20 +142,17 @@ class ReliableHopLayer {
   /// retransmission. Late acks (hop already retired) are ignored.
   void on_ack(const sim::Envelope& envelope);
 
-  /// Aggregate stats across all lanes (single-lane: the plain counters).
-  [[nodiscard]] const HopStats& stats() const noexcept;
+  [[nodiscard]] const HopStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ReliabilityConfig& config() const noexcept { return config_; }
   /// Hops still awaiting an ack (0 once the simulation drained).
-  [[nodiscard]] std::size_t pending() const noexcept {
-    std::size_t total = 0;
-    for (const LaneTable& lane : lanes_) total += lane.pending.size();
-    return total;
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }
   /// Pending hops addressed to `to` — i.e. senders still retransmitting
   /// toward that receiver. The QoS 2 gap-repair plane consults this before
   /// NACKing: while per-hop recovery is in flight the gap may heal on its
   /// own, so end-to-end repair defers instead of double-repairing.
-  [[nodiscard]] std::size_t pending_to(sim::NodeId to) const noexcept;
+  [[nodiscard]] std::size_t pending_to(sim::NodeId to) const noexcept {
+    return to < pending_by_receiver_.size() ? pending_by_receiver_[to] : 0;
+  }
 
  private:
   /// Pending-table key. Never iterated in order, so the table is an
@@ -198,27 +187,6 @@ class ReliableHopLayer {
     sim::MessageKind kind = kInvalidKind;  // per-transfer override
   };
 
-  /// One lane's share of the protocol state. Classic mode runs a single
-  /// lane; the sharded loop gives each region its own table (keyed by the
-  /// sender's home lane), so concurrent workers never share a node.
-  struct LaneTable {
-    /// Free-list node allocator: a QoS 1 hop inserts and erases one node
-    /// per transfer, so steady-state ack churn recycles instead of hitting
-    /// the global heap. Each lane owns its arena.
-    std::unordered_map<Key, Pending, KeyHash, std::equal_to<Key>,
-                       util::FreeListAllocator<std::pair<const Key, Pending>>>
-        pending;
-    /// Per-receiver pending-hop counts, maintained alongside `pending` so
-    /// pending_to() — polled by every QoS 2 gap timer — needs no scan.
-    /// Node ids are dense, so this is a flat vector, not a map.
-    std::vector<std::size_t> pending_by_receiver;
-    HopStats stats;
-  };
-
-  [[nodiscard]] LaneTable& lane_of(sim::NodeId sender) noexcept {
-    return node_lane_.empty() ? lanes_[0] : lanes_[node_lane_[sender]];
-  }
-
   void transmit(Pending& entry, std::size_t attempt);
   void on_timeout(Pending& entry);
   static void timeout_thunk(void* ctx, std::uint64_t arg);
@@ -231,9 +199,17 @@ class ReliableHopLayer {
   ReliabilityConfig config_;
   Hooks hooks_;
   TraceHooks trace_;
-  std::vector<LaneTable> lanes_;
-  std::vector<std::uint32_t> node_lane_;  // empty => everything in lane 0
-  mutable HopStats total_stats_;          // stats() materialisation cache
+  /// Free-list node allocator: a QoS 1 hop inserts and erases one node per
+  /// transfer, so steady-state ack churn recycles instead of hitting the
+  /// global heap.
+  std::unordered_map<Key, Pending, KeyHash, std::equal_to<Key>,
+                     util::FreeListAllocator<std::pair<const Key, Pending>>>
+      pending_;
+  /// Per-receiver pending-hop counts, maintained alongside `pending_` so
+  /// pending_to() — polled by every QoS 2 gap timer — needs no scan. Node
+  /// ids are dense, so this is a flat vector, not a map.
+  std::vector<std::size_t> pending_by_receiver_;
+  HopStats stats_;
 };
 
 }  // namespace geomcast::multicast

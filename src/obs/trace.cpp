@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <ostream>
@@ -51,41 +50,6 @@ bool operator==(const TraceEvent& a, const TraceEvent& b) noexcept {
 TraceSink::TraceSink(std::size_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
 
 void TraceSink::record(const TraceEvent& event) {
-  if (lane_fn_ != nullptr) {
-    const int lane = lane_fn_();
-    if (lane >= 0) {
-      std::vector<LaneRecord>& buffer = lane_buffers_[static_cast<std::size_t>(lane)];
-      buffer.push_back(LaneRecord{order_fn_(), buffer.size(), event});
-      return;
-    }
-  }
-  append(event);
-}
-
-void TraceSink::configure_lanes(std::size_t lanes, LaneFn lane_fn, OrderFn order_fn) {
-  lane_buffers_.clear();
-  lane_buffers_.resize(lanes);
-  lane_fn_ = lane_fn;
-  order_fn_ = order_fn;
-}
-
-void TraceSink::collapse_lanes() {
-  std::vector<LaneRecord> merged;
-  for (std::vector<LaneRecord>& buffer : lane_buffers_) {
-    merged.insert(merged.end(), buffer.begin(), buffer.end());
-    buffer.clear();
-  }
-  if (merged.empty()) return;
-  std::sort(merged.begin(), merged.end(),
-            [](const LaneRecord& a, const LaneRecord& b) {
-              if (a.event.time != b.event.time) return a.event.time < b.event.time;
-              if (a.order != b.order) return a.order < b.order;
-              return a.seq < b.seq;
-            });
-  for (const LaneRecord& record : merged) append(record.event);
-}
-
-void TraceSink::append(const TraceEvent& event) {
   ++recorded_;
   if (size_ == ring_.size()) {
     ++dropped_;

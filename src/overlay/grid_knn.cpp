@@ -139,26 +139,6 @@ std::vector<std::vector<PeerId>> grid_knn(const std::vector<geometry::Point>& po
   return result;
 }
 
-std::vector<std::uint32_t> grid_regions(const std::vector<geometry::Point>& points,
-                                        std::size_t regions) {
-  const std::size_t n = points.size();
-  if (n == 0) return {};
-  if (regions == 0) throw std::invalid_argument("grid_regions: need >= 1 region");
-  regions = std::min(regions, n);
-  std::vector<std::uint32_t> out(n, 0);
-  if (regions == 1) return out;
-  const BucketGrid grid(points);
-  // Row-major cell walk concatenates peers in a space-filling band order;
-  // equal slices of it are contiguous cell ranges with ~n/regions peers.
-  std::size_t seen = 0;
-  for (const std::vector<PeerId>& cell : grid.cells)
-    for (const PeerId p : cell) {
-      out[p] = static_cast<std::uint32_t>(seen * regions / n);
-      ++seen;
-    }
-  return out;
-}
-
 OverlayGraph build_equilibrium_local(const std::vector<geometry::Point>& points,
                                      const NeighborSelector& selector, std::size_t k) {
   const std::size_t n = points.size();

@@ -41,14 +41,4 @@ namespace geomcast::overlay {
     const std::vector<geometry::Point>& points, const NeighborSelector& selector,
     std::size_t k);
 
-/// Partitions peers into `regions` contiguous regions of the coordinate
-/// space for the sharded event loop: walks the same uniform bucket grid
-/// grid_knn searches, row-major, and slices the concatenated peer order
-/// into `regions` near-equal chunks — so each region is a contiguous band
-/// of grid cells and most tree edges stay region-local. Returns a 0-based
-/// region index per peer; a pure function of (points, regions). `regions`
-/// is clamped to the peer count.
-[[nodiscard]] std::vector<std::uint32_t> grid_regions(
-    const std::vector<geometry::Point>& points, std::size_t regions);
-
 }  // namespace geomcast::overlay

@@ -72,7 +72,7 @@ EventId EventQueue::schedule(SimTime when, std::function<void()> action) {
     throw std::invalid_argument("EventQueue::schedule: time is in the past");
   if (!action) throw std::invalid_argument("EventQueue::schedule: empty action");
   const EventId id = ids_.add(std::move(action));
-  place(when, /*order=*/id, id);
+  place(when, id);
   return id;
 }
 
@@ -82,59 +82,16 @@ EventId EventQueue::schedule(SimTime when, RawFn fn, void* ctx, std::uint64_t ar
   if (fn == nullptr)
     throw std::invalid_argument("EventQueue::schedule: null callback");
   const EventId id = ids_.add(fn, ctx, arg);
-  place(when, /*order=*/id, id);
+  place(when, id);
   return id;
 }
 
-EventId EventQueue::schedule_ordered(SimTime when, std::uint64_t order,
-                                     std::function<void()> action) {
-  if (when < last_popped_)
-    throw std::invalid_argument("EventQueue::schedule_ordered: time is in the past");
-  if (!action)
-    throw std::invalid_argument("EventQueue::schedule_ordered: empty action");
-  const EventId id = ids_.add(std::move(action));
-  place(when, order, id);
-  return id;
-}
-
-EventId EventQueue::schedule_ordered(SimTime when, std::uint64_t order, RawFn fn,
-                                     void* ctx, std::uint64_t arg) {
-  if (when < last_popped_)
-    throw std::invalid_argument("EventQueue::schedule_ordered: time is in the past");
-  if (fn == nullptr)
-    throw std::invalid_argument("EventQueue::schedule_ordered: null callback");
-  const EventId id = ids_.add(fn, ctx, arg);
-  place(when, order, id);
-  return id;
-}
-
-EventId EventQueue::register_action(std::function<void()> action) {
-  if (!action)
-    throw std::invalid_argument("EventQueue::register_action: empty action");
-  return ids_.add(std::move(action));
-}
-
-EventId EventQueue::register_action(RawFn fn, void* ctx, std::uint64_t arg) {
-  if (fn == nullptr)
-    throw std::invalid_argument("EventQueue::register_action: null callback");
-  return ids_.add(fn, ctx, arg);
-}
-
-void EventQueue::place_registered(SimTime when, std::uint64_t order, EventId id) {
-  // Cancelled between register and place (e.g. an ack landing in the same
-  // window as the retransmit timer it retires): nothing to insert.
-  if (!ids_.contains(id)) return;
-  if (when < last_popped_)
-    throw std::invalid_argument("EventQueue::place_registered: time is in the past");
-  place(when, order, id);
-}
-
-void EventQueue::place(SimTime when, std::uint64_t order, EventId id) {
+void EventQueue::place(SimTime when, EventId id) {
   if (backend_ == QueueBackend::kHeap) {
-    heap_.push_back(Entry{when, order, id});
+    heap_.push_back(Entry{when, id});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   } else {
-    wheel_insert(Entry{when, order, id});
+    wheel_insert(Entry{when, id});
   }
 }
 
@@ -182,21 +139,6 @@ SimTime EventQueue::next_time() const {
   return front->when;
 }
 
-bool EventQueue::peek_key(SimTime* when, std::uint64_t* order) const {
-  if (backend_ == QueueBackend::kHeap) {
-    heap_drop_stale_head();
-    if (heap_.empty()) return false;
-    if (when != nullptr) *when = heap_.front().when;
-    if (order != nullptr) *order = heap_.front().order;
-    return true;
-  }
-  const Entry* front = wheel_peek();
-  if (front == nullptr) return false;
-  if (when != nullptr) *when = front->when;
-  if (order != nullptr) *order = front->order;
-  return true;
-}
-
 bool EventQueue::pop_front(Entry* out) {
   if (backend_ == QueueBackend::kHeap) {
     heap_drop_stale_head();
@@ -224,17 +166,6 @@ void EventQueue::dispatch(const Entry& entry, SimTime* now_out) {
 bool EventQueue::run_next(SimTime* now_out) {
   Entry entry;
   if (!pop_front(&entry)) return false;
-  dispatch(entry, now_out);
-  return true;
-}
-
-bool EventQueue::run_next_before(SimTime bound, SimTime* now_out,
-                                 std::uint64_t* order_out) {
-  SimTime when = kTimeZero;
-  if (!peek_key(&when, nullptr) || when >= bound) return false;
-  Entry entry;
-  pop_front(&entry);  // removes the exact entry peek_key surfaced
-  if (order_out != nullptr) *order_out = entry.order;
   dispatch(entry, now_out);
   return true;
 }
@@ -282,7 +213,7 @@ EventQueue::Entry* EventQueue::wheel_peek() const {
     const std::uint64_t cascaded = coarse_cursor_ * kFineBuckets;
     // Rung 0: the earliest live entry sits in the first non-empty fine
     // bucket at or after the cursor, because buckets partition the time
-    // axis monotonically and each bucket is sorted by (when, order) before
+    // axis monotonically and each bucket is sorted by (when, id) before
     // consumption — exactly the heap's pop order. The occupancy bitmap
     // jumps the cursor straight to that bucket; a skipped bucket stores
     // nothing at all, so skipping it cannot change the pop order.
@@ -301,7 +232,7 @@ EventQueue::Entry* EventQueue::wheel_peek() const {
         std::sort(bucket.entries.begin() + static_cast<std::ptrdiff_t>(bucket.pos),
                   bucket.entries.end(), [](const Entry& a, const Entry& b) {
                     if (a.when != b.when) return a.when < b.when;
-                    return a.order < b.order;
+                    return a.id < b.id;
                   });
         bucket.sorted = true;
       }

@@ -1,9 +1,7 @@
-// Deterministic event queue: events fire in (time, order) order, so
-// simultaneous events run in a well-defined sequence and every run of a
-// seeded simulation is bit-for-bit identical. On the classic single-queue
-// path the order IS the insertion sequence (the id); the sharded event
-// loop (sim/simulator.hpp) instead supplies a globally-merged order so K
-// per-region queues reproduce the one-queue schedule exactly.
+// Deterministic event queue: events fire in (time, id) order, where the
+// id is the insertion sequence, so simultaneous events run in the order
+// they were scheduled and every run of a seeded simulation is bit-for-bit
+// identical.
 //
 // Two interchangeable backends produce that exact same order:
 //
@@ -15,7 +13,7 @@
 //    rung 1 a ring of coarse buckets (one rung-0 span wide each), and the
 //    compacted binary heap stays on as the long-horizon overflow rung.
 //    An insert is O(1) bucket append; pops sort one small bucket at a time
-//    by (time, order), which reproduces the heap's global pop order exactly
+//    by (time, id), which reproduces the heap's global pop order exactly
 //    (buckets partition the time axis monotonically). Coarse buckets
 //    cascade into rung 0 when the fine cursor crosses their boundary, and
 //    overflow entries drain into the wheel the moment the cascade cursor
@@ -51,8 +49,7 @@ class EventQueue {
 
   /// Schedules `action` at absolute time `when`; returns a handle usable
   /// with cancel(). `when` must be >= the last popped time (no scheduling
-  /// into the past). The tie-break order is the id itself (insertion
-  /// sequence) — the classic single-queue behaviour.
+  /// into the past). Events at equal times pop in id (insertion) order.
   EventId schedule(SimTime when, std::function<void()> action);
 
   /// Raw-callback overload: identical semantics and pop order, but the
@@ -60,26 +57,6 @@ class EventQueue {
   /// and type-erasure-free path for the two producers that dominate event
   /// traffic (envelope delivery, per-hop ack timers).
   EventId schedule(SimTime when, RawFn fn, void* ctx, std::uint64_t arg);
-
-  // -- sharded-loop support -------------------------------------------------
-  // The sharded simulator runs one EventQueue per coordinate region and
-  // merges their schedules by an explicit global (time, order) key, so the
-  // order is supplied by the caller instead of being this queue's local
-  // insertion sequence. register_action/place_registered split scheduling
-  // in two: a worker thread may register an action in its own queue's
-  // table immediately (handle valid at once) while the coordinating thread
-  // places the entry later with its canonical order.
-
-  /// Schedules with an explicit tie-break order (same past-time rules).
-  EventId schedule_ordered(SimTime when, std::uint64_t order,
-                           std::function<void()> action);
-  EventId schedule_ordered(SimTime when, std::uint64_t order, RawFn fn, void* ctx,
-                           std::uint64_t arg);
-  /// Files an action without placing it; pair with place_registered().
-  EventId register_action(std::function<void()> action);
-  EventId register_action(RawFn fn, void* ctx, std::uint64_t arg);
-  /// Places a previously registered (still live) action.
-  void place_registered(SimTime when, std::uint64_t order, EventId id);
 
   /// Cancels a pending event; returns false if it already ran, was already
   /// cancelled, or never existed. Lazy removal: the stored entry stays
@@ -102,9 +79,6 @@ class EventQueue {
   }
   /// Time of the earliest pending event; queue must not be empty.
   [[nodiscard]] SimTime next_time() const;
-  /// (time, order) of the earliest pending event; false when empty. The
-  /// sharded loop's cross-queue merge compares these keys.
-  bool peek_key(SimTime* when, std::uint64_t* order) const;
   [[nodiscard]] SimTime last_popped_time() const noexcept { return last_popped_; }
   [[nodiscard]] QueueBackend backend() const noexcept { return backend_; }
 
@@ -115,13 +89,6 @@ class EventQueue {
   /// separate next_time() peek per event on the hot loop.
   bool run_next(SimTime* now_out = nullptr);
 
-  /// Like run_next(), but only when the earliest event's time is strictly
-  /// below `bound` — the conservative-window worker loop. `order_out`
-  /// (optional) receives the event's tie-break order before the action
-  /// runs, so the worker can key the event's logged effects canonically.
-  bool run_next_before(SimTime bound, SimTime* now_out,
-                       std::uint64_t* order_out = nullptr);
-
   // Wheel geometry, exposed for the unit tests that pin rung-boundary and
   // overflow-drain behaviour.
   static constexpr double kWheelTick = 0.0005;     // rung-0 bucket width (s)
@@ -129,27 +96,25 @@ class EventQueue {
   static constexpr std::size_t kCoarseBuckets = 4096;  // rung-1 ring size
 
  private:
-  /// What the rungs store and sort: 24 trivially-copyable bytes. The
+  /// What the rungs store and sort: 16 trivially-copyable bytes. The
   /// action lives in the id-indexed slot table instead, so bucket sorts,
   /// heap sift-ups and cascades shuffle PODs — no std::function move (an
-  /// indirect _M_manager call) per element hop. `order` is the pop
-  /// tie-break at equal times: the id itself on the classic path, the
-  /// globally-merged sequence under the sharded loop.
+  /// indirect _M_manager call) per element hop. The id doubles as the pop
+  /// tie-break at equal times.
   struct Entry {
     SimTime when;
-    std::uint64_t order;
     EventId id;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
-      return a.order > b.order;
+      return a.id > b.id;
     }
   };
   struct Bucket {
     std::vector<Entry> entries;
     std::size_t pos = 0;   // consumed prefix
-    bool sorted = true;    // [pos, end) in (when, order) order
+    bool sorted = true;    // [pos, end) in (when, id) order
   };
 
   /// Event ids are dense and monotonically increasing, so a flat vector
@@ -230,7 +195,7 @@ class EventQueue {
 
   /// Shared tail of the schedule() overloads: files the entry with the
   /// active backend.
-  void place(SimTime when, std::uint64_t order, EventId id);
+  void place(SimTime when, EventId id);
   /// Pops the earliest pending entry; false when empty (stale entries
   /// skipped). Does not run it.
   bool pop_front(Entry* out);

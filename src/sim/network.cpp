@@ -44,43 +44,8 @@ std::optional<SimTime> Network::admit(const Envelope& envelope) {
 }
 
 void Network::note_delivered(const Envelope& envelope) {
-  NetworkStats& s = sink();
-  ++s.delivered;
-  bump(s.received_by_node, envelope.to);
-}
-
-void Network::configure_lanes(std::size_t lanes, LaneFn fn) {
-  lane_deltas_.clear();
-  lane_deltas_.resize(lanes);
-  lane_fn_ = fn;
-}
-
-void Network::collapse_lane_deltas() noexcept {
-  for (NetworkStats& d : lane_deltas_) {
-    stats_.sent += d.sent;
-    stats_.delivered += d.delivered;
-    stats_.dropped += d.dropped;
-    stats_.retransmitted += d.retransmitted;
-    stats_.duplicate_data += d.duplicate_data;
-    stats_.abandoned_hops += d.abandoned_hops;
-    stats_.nacks += d.nacks;
-    stats_.repairs_served += d.repairs_served;
-    stats_.batched_waves += d.batched_waves;
-    stats_.envelopes_saved += d.envelopes_saved;
-    stats_.control_envelopes += d.control_envelopes;
-    stats_.graft_hops += d.graft_hops;
-    stats_.graft_retries += d.graft_retries;
-    stats_.graft_aborts += d.graft_aborts;
-    stats_.replica_sync_envelopes += d.replica_sync_envelopes;
-    stats_.migration_envelopes += d.migration_envelopes;
-    stats_.heartbeats += d.heartbeats;
-    for (NodeId id = 0; id < d.received_by_node.size(); ++id)
-      if (d.received_by_node[id] != 0) {
-        bump(stats_.received_by_node, id);
-        stats_.received_by_node[id] += d.received_by_node[id] - 1;
-      }
-    d = NetworkStats{};
-  }
+  ++stats_.delivered;
+  bump(stats_.received_by_node, envelope.to);
 }
 
 const NetworkStats& Network::stats() const {

@@ -48,10 +48,6 @@ class LatencyModel {
 
   [[nodiscard]] SimTime sample(util::Rng& rng) const noexcept;
 
-  /// Smallest delay the model can produce — the sharded event loop's
-  /// lookahead: no message sent at t can arrive before t + min_delay().
-  [[nodiscard]] SimTime min_delay() const noexcept { return lo_; }
-
  private:
   SimTime lo_ = 0.0;
   SimTime hi_ = 0.0;  // lo == hi => constant
@@ -118,18 +114,6 @@ class Network {
   void set_latency(LatencyModel model) noexcept { latency_ = model; }
   void set_loss(LossModel model) { loss_ = std::move(model); }
 
-  /// Lookahead the latency model guarantees (see LatencyModel::min_delay).
-  [[nodiscard]] SimTime min_delay() const noexcept { return latency_.min_delay(); }
-
-  /// Sharded event loop wiring: `fn` reports the calling thread's current
-  /// parallel-phase lane (or a negative value on the coordinating thread).
-  /// While configured, note_* calls from a parallel lane land in that
-  /// lane's private delta; collapse_lane_deltas() folds the deltas into the
-  /// base counters at each window barrier. admit() stays coordinator-only.
-  using LaneFn = int (*)() noexcept;
-  void configure_lanes(std::size_t lanes, LaneFn fn);
-  void collapse_lane_deltas() noexcept;
-
   /// Decides fate and delay of a message. Returns the delivery delay, or
   /// nothing if the message is dropped. Updates counters either way.
   [[nodiscard]] std::optional<SimTime> admit(const Envelope& envelope);
@@ -137,34 +121,30 @@ class Network {
   void note_delivered(const Envelope& envelope);
 
   // Reliability-layer reporting (see NetworkStats).
-  void note_retransmission() noexcept { ++sink().retransmitted; }
-  void note_duplicate() noexcept { ++sink().duplicate_data; }
-  void note_abandoned() noexcept { ++sink().abandoned_hops; }
-  void note_nack() noexcept { ++sink().nacks; }
-  void note_repair_served() noexcept { ++sink().repairs_served; }
+  void note_retransmission() noexcept { ++stats_.retransmitted; }
+  void note_duplicate() noexcept { ++stats_.duplicate_data; }
+  void note_abandoned() noexcept { ++stats_.abandoned_hops; }
+  void note_nack() noexcept { ++stats_.nacks; }
+  void note_repair_served() noexcept { ++stats_.repairs_served; }
   void note_batched_wave(std::uint64_t envelopes_saved) noexcept {
-    NetworkStats& s = sink();
-    ++s.batched_waves;
-    s.envelopes_saved += envelopes_saved;
+    ++stats_.batched_waves;
+    stats_.envelopes_saved += envelopes_saved;
   }
-  void note_control_envelope() noexcept { ++sink().control_envelopes; }
+  void note_control_envelope() noexcept { ++stats_.control_envelopes; }
   void note_graft_hop() noexcept {
-    NetworkStats& s = sink();
-    ++s.graft_hops;
-    ++s.control_envelopes;
+    ++stats_.graft_hops;
+    ++stats_.control_envelopes;
   }
-  void note_graft_retry() noexcept { ++sink().graft_retries; }
-  void note_graft_abort() noexcept { ++sink().graft_aborts; }
+  void note_graft_retry() noexcept { ++stats_.graft_retries; }
+  void note_graft_abort() noexcept { ++stats_.graft_aborts; }
   void note_replica_sync() noexcept {
-    NetworkStats& s = sink();
-    ++s.replica_sync_envelopes;
-    ++s.control_envelopes;
+    ++stats_.replica_sync_envelopes;
+    ++stats_.control_envelopes;
   }
-  void note_migration_envelope() noexcept { ++sink().migration_envelopes; }
+  void note_migration_envelope() noexcept { ++stats_.migration_envelopes; }
   void note_heartbeat() noexcept {
-    NetworkStats& s = sink();
-    ++s.heartbeats;
-    ++s.control_envelopes;
+    ++stats_.heartbeats;
+    ++stats_.control_envelopes;
   }
 
   /// Materialises the per-kind map from the dense hot-path counters before
@@ -177,16 +157,6 @@ class Network {
   }
 
  private:
-  /// The stats object the calling thread may mutate: a lane-private delta
-  /// during a parallel phase, the base counters otherwise.
-  [[nodiscard]] NetworkStats& sink() noexcept {
-    if (lane_fn_ != nullptr) {
-      const int lane = lane_fn_();
-      if (lane >= 0) return lane_deltas_[static_cast<std::size_t>(lane)];
-    }
-    return stats_;
-  }
-
   void bump(std::vector<std::uint64_t>& counters, NodeId id);
 
   /// Message kinds are small dense integers (see groups/message_kinds.hpp),
@@ -200,8 +170,6 @@ class Network {
   mutable NetworkStats stats_;
   std::array<std::uint64_t, kDenseKinds> kind_counts_{};
   std::map<MessageKind, std::uint64_t> high_kind_counts_;
-  LaneFn lane_fn_ = nullptr;
-  std::vector<NetworkStats> lane_deltas_;
 };
 
 }  // namespace geomcast::sim

@@ -1,28 +1,12 @@
 #include "sim/simulator.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
-
-#include "util/pool.hpp"
 
 namespace geomcast::sim {
 
 Simulator::Simulator(std::uint64_t seed, QueueBackend backend)
-    : network_(util::Rng(seed)) {
-  lanes_.emplace_back(backend);
-}
-
-Simulator::~Simulator() {
-  if (!threads_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_go_.notify_all();
-    for (std::thread& thread : threads_) thread.join();
-  }
-}
+    : network_(util::Rng(seed)), queue_(backend) {}
 
 void Simulator::add_node(Node& node) {
   if (node.id() != nodes_.size())
@@ -31,395 +15,78 @@ void Simulator::add_node(Node& node) {
   node.on_start(*this);
 }
 
-void Simulator::configure_shards(std::size_t workers, RouteFn router,
-                                 void* router_ctx) {
-  if (workers == 0)
-    throw std::invalid_argument("Simulator::configure_shards: need >= 1 worker lane");
-  if (workers_ != 0)
-    throw std::logic_error("Simulator::configure_shards: already sharded");
-  if (!lanes_[0].queue.empty() || now_ != kTimeZero)
-    throw std::logic_error(
-        "Simulator::configure_shards: must run before any event is scheduled");
-  lookahead_ = network_.min_delay();
-  if (!(lookahead_ > 0.0))
-    throw std::invalid_argument(
-        "Simulator::configure_shards: the latency model must guarantee a positive "
-        "minimum delay (the conservative window's lookahead)");
-  router_ = router;
-  router_ctx_ = router_ctx;
-  const QueueBackend backend = lanes_[0].queue.backend();
-  for (std::size_t i = 0; i < workers; ++i) lanes_.emplace_back(backend);
-  workers_ = workers;
-  metrics_.lane_events.assign(workers + 1, 0);
-  threads_.reserve(workers);
-  for (std::uint32_t lane = 1; lane <= workers; ++lane)
-    threads_.emplace_back([this, lane] { worker_main(lane); });
-}
-
 void Simulator::send(NodeId from, NodeId to, MessageKind kind, std::any payload) {
   if (to >= nodes_.size())
     throw std::invalid_argument("Simulator::send: unknown destination node");
-  if (WorkerTls* w = tls_worker_; w != nullptr) {
-    // Parallel phase: park the envelope and log the send. The network
-    // admits it (one global rng stream) at the barrier, in canonical order.
-    Lane& lane = lanes_[w->lane];
-    lane.outbox.push_back(Envelope{from, to, kind, std::move(payload)});
-    lane.effects.push_back(Effect{Effect::Kind::kSend, 0, w->now, w->order, w->now,
-                                  lane.outbox.size() - 1});
-    return;
-  }
   Envelope envelope{from, to, kind, std::move(payload)};
   const auto delay = network_.admit(envelope);
   if (!delay) return;  // dropped by the loss model
-  dispatch_send(std::move(envelope), now() + *delay);
-}
-
-void Simulator::dispatch_send(Envelope envelope, SimTime at) {
-  const std::uint32_t lane_idx =
-      workers_ == 0 ? 0 : router_(router_ctx_, envelope);
-  // Park the envelope in a recycled slot; the delivery event is a raw
-  // (thunk, this, lane|slot) triple — no type erasure, no heap allocation
-  // per send once the pool is warm.
-  Lane& lane = lanes_[lane_idx];
+  // Park the envelope in a recycled slot; the delivery event carries only
+  // the slot index.
   std::uint32_t slot;
-  if (lane.free_slots.empty()) {
-    slot = static_cast<std::uint32_t>(lane.pool.size());
-    lane.pool.push_back(std::move(envelope));
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back(std::move(envelope));
   } else {
-    slot = lane.free_slots.back();
-    lane.free_slots.pop_back();
-    lane.pool[slot] = std::move(envelope);
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    pool_[slot] = std::move(envelope);
   }
-  const std::uint64_t arg =
-      (static_cast<std::uint64_t>(lane_idx) << kSlotShift) | slot;
-  if (workers_ == 0)
-    lane.queue.schedule(at, &Simulator::deliver_slot_thunk, this, arg);
-  else
-    lane.queue.schedule_ordered(at, ++order_, &Simulator::deliver_slot_thunk, this,
-                                arg);
+  queue_.schedule(now_ + *delay, &Simulator::deliver_slot_thunk, this, slot);
 }
 
 void Simulator::deliver_slot(std::uint64_t arg) {
-  Lane& lane = lanes_[arg >> kSlotShift];
-  const auto slot = static_cast<std::uint32_t>(arg & kSlotMask);
+  const auto slot = static_cast<std::uint32_t>(arg);
   // Move out before delivering: the handler may send, which can grow the
   // pool and reuse the slot.
-  Envelope envelope = std::move(lane.pool[slot]);
-  lane.pool[slot] = Envelope{};
-  lane.free_slots.push_back(slot);
+  Envelope envelope = std::move(pool_[slot]);
+  pool_[slot] = Envelope{};
+  free_slots_.push_back(slot);
   deliver(envelope);
 }
 
 void Simulator::deliver(const Envelope& envelope) {
   network_.note_delivered(envelope);
-  if (observer_) observer_(now(), envelope);
+  if (observer_) observer_(now_, envelope);
   nodes_[envelope.to]->on_message(*this, envelope);
 }
 
 EventId Simulator::schedule_at(SimTime when, std::function<void()> action) {
-  if (WorkerTls* w = tls_worker_; w != nullptr) {
-    Lane& lane = lanes_[w->lane];
-    const EventId local = lane.queue.register_action(std::move(action));
-    lane.effects.push_back(
-        Effect{Effect::Kind::kPlace, w->lane, w->now, w->order, when, local});
-    return encode(w->lane, local);
-  }
-  if (workers_ == 0) return lanes_[0].queue.schedule(when, std::move(action));
-  Lane& lane = lanes_[exec_lane_];
-  return encode(exec_lane_,
-                lane.queue.schedule_ordered(when, ++order_, std::move(action)));
+  return queue_.schedule(when, std::move(action));
 }
 
 EventId Simulator::schedule_after(SimTime delay, std::function<void()> action) {
   if (delay < 0) throw std::invalid_argument("Simulator::schedule_after: negative delay");
-  return schedule_at(now() + delay, std::move(action));
+  return schedule_at(now_ + delay, std::move(action));
 }
 
 EventId Simulator::schedule_at(SimTime when, RawFn fn, void* ctx, std::uint64_t arg) {
-  if (WorkerTls* w = tls_worker_; w != nullptr) {
-    Lane& lane = lanes_[w->lane];
-    const EventId local = lane.queue.register_action(fn, ctx, arg);
-    lane.effects.push_back(
-        Effect{Effect::Kind::kPlace, w->lane, w->now, w->order, when, local});
-    return encode(w->lane, local);
-  }
-  if (workers_ == 0) return lanes_[0].queue.schedule(when, fn, ctx, arg);
-  Lane& lane = lanes_[exec_lane_];
-  return encode(exec_lane_, lane.queue.schedule_ordered(when, ++order_, fn, ctx, arg));
+  return queue_.schedule(when, fn, ctx, arg);
 }
 
 EventId Simulator::schedule_after(SimTime delay, RawFn fn, void* ctx,
                                   std::uint64_t arg) {
   if (delay < 0) throw std::invalid_argument("Simulator::schedule_after: negative delay");
-  return schedule_at(now() + delay, fn, ctx, arg);
+  return schedule_at(now_ + delay, fn, ctx, arg);
 }
 
-EventId Simulator::schedule_control_at(SimTime when, std::function<void()> action) {
-  if (WorkerTls* w = tls_worker_; w != nullptr) {
-    EventId local;
-    {
-      std::lock_guard<std::mutex> lock(lane0_mu_);
-      local = lanes_[0].queue.register_action(std::move(action));
-    }
-    lanes_[w->lane].effects.push_back(
-        Effect{Effect::Kind::kPlace, 0, w->now, w->order, when, local});
-    return local;  // lane 0: the encoding is the identity
-  }
-  if (workers_ == 0) return lanes_[0].queue.schedule(when, std::move(action));
-  return lanes_[0].queue.schedule_ordered(when, ++order_, std::move(action));
-}
-
-EventId Simulator::schedule_control_after(SimTime delay, std::function<void()> action) {
-  if (delay < 0)
-    throw std::invalid_argument("Simulator::schedule_control_after: negative delay");
-  return schedule_control_at(now() + delay, std::move(action));
-}
-
-bool Simulator::cancel(EventId id) {
-  const auto lane = static_cast<std::uint32_t>(id >> kLaneShift);
-  const EventId local = id & kLocalMask;
-  if (WorkerTls* w = tls_worker_; w != nullptr && lane != w->lane) {
-    if (lane != 0)
-      throw std::logic_error("Simulator::cancel: cross-worker-lane cancel");
-    std::lock_guard<std::mutex> lock(lane0_mu_);
-    return lanes_[0].queue.cancel(local);
-  }
-  return lanes_[lane].queue.cancel(local);
-}
-
-void Simulator::log_ext(std::uint64_t a, std::uint64_t b, std::uint64_t c, double v) {
-  if (WorkerTls* w = tls_worker_; w != nullptr) {
-    Lane& lane = lanes_[w->lane];
-    lane.effects.push_back(
-        Effect{Effect::Kind::kExt, 0, w->now, w->order, 0.0, 0, a, b, c, v});
-    return;
-  }
-  ext_(ext_ctx_, a, b, c, v);
-}
+bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 std::size_t Simulator::run_until_idle(std::size_t max_events) {
-  if (workers_ != 0) return run_sharded(max_events);
-  EventQueue& queue = lanes_[0].queue;
   std::size_t processed = 0;
-  while (processed < max_events && queue.run_next(&now_)) ++processed;
+  while (processed < max_events && queue_.run_next(&now_)) ++processed;
   return processed;
 }
 
 std::size_t Simulator::run_until(SimTime until, std::size_t max_events) {
-  if (workers_ != 0)
-    throw std::logic_error("Simulator::run_until: unsupported in sharded mode");
-  EventQueue& queue = lanes_[0].queue;
   std::size_t processed = 0;
-  while (processed < max_events && !queue.empty() && queue.next_time() <= until) {
-    now_ = queue.next_time();
-    queue.run_next();
+  while (processed < max_events && !queue_.empty() && queue_.next_time() <= until) {
+    now_ = queue_.next_time();
+    queue_.run_next();
     ++processed;
   }
   if (now_ < until) now_ = until;
   return processed;
-}
-
-std::size_t Simulator::run_sharded(std::size_t max_events) {
-  if (observer_)
-    throw std::logic_error(
-        "Simulator: the delivery observer is unsupported in sharded mode");
-  std::size_t processed = 0;
-  while (processed < max_events) {
-    // g: the earliest control event; m: the earliest worker event.
-    SimTime g = 0.0;
-    std::uint64_t key_order = 0;
-    const bool g_has = lanes_[0].queue.peek_key(&g, &key_order);
-    SimTime m = 0.0;
-    bool m_has = false;
-    for (std::uint32_t lane = 1; lane <= workers_; ++lane) {
-      SimTime w;
-      if (lanes_[lane].queue.peek_key(&w, &key_order) && (!m_has || w < m)) {
-        m = w;
-        m_has = true;
-      }
-    }
-    if (!g_has && !m_has) break;
-    if (g_has && (!m_has || g <= m)) {
-      // Control due first: drain the instant sequentially, all lanes in
-      // global order, with workers parked.
-      processed += run_instant(g, max_events - processed);
-    } else {
-      // Conservative window: workers may run everything strictly below
-      // m + lookahead (nothing they send can land earlier), capped at the
-      // next control event.
-      SimTime bound = m + lookahead_;
-      if (g_has && g < bound) bound = g;
-      processed += run_window(bound);
-    }
-  }
-  return processed;
-}
-
-std::size_t Simulator::run_instant(SimTime t, std::size_t budget) {
-  ++metrics_.instants;
-  std::size_t processed = 0;
-  // Drain every event at exactly time t across all lanes in global
-  // (time, order) sequence; handlers may keep scheduling at t.
-  while (processed < budget) {
-    std::uint32_t best_lane = 0;
-    std::uint64_t best_order = 0;
-    bool found = false;
-    for (std::uint32_t lane = 0; lane <= workers_; ++lane) {
-      SimTime when;
-      std::uint64_t order;
-      if (lanes_[lane].queue.peek_key(&when, &order) && when == t &&
-          (!found || order < best_order)) {
-        found = true;
-        best_lane = lane;
-        best_order = order;
-      }
-    }
-    if (!found) break;
-    exec_lane_ = best_lane;
-    lanes_[best_lane].queue.run_next(&now_);
-    ++metrics_.lane_events[best_lane];
-    ++processed;
-  }
-  exec_lane_ = 0;
-  return processed;
-}
-
-std::size_t Simulator::run_window(SimTime bound) {
-  ++metrics_.windows;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    bound_ = bound;
-    active_ = workers_;
-    ++gen_;
-  }
-  cv_go_.notify_all();
-  const auto wait_start = std::chrono::steady_clock::now();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return active_ == 0; });
-    if (worker_error_) {
-      const std::exception_ptr error = worker_error_;
-      worker_error_ = nullptr;
-      std::rethrow_exception(error);
-    }
-  }
-  metrics_.barrier_wait_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wait_start)
-          .count();
-  replay_effects(bound);
-  std::size_t processed = 0;
-  for (std::uint32_t lane = 1; lane <= workers_; ++lane) {
-    Lane& worker = lanes_[lane];
-    // Pooled payloads whose last reference dropped on the worker: recycle
-    // now, on the pool's owning thread.
-    for (auto& [fn, block] : worker.deferred) fn(block);
-    worker.deferred.clear();
-    metrics_.lane_events[lane] += worker.window_events;
-    processed += worker.window_events;
-  }
-  if (barrier_hook_ != nullptr) barrier_hook_(barrier_ctx_);
-  return processed;
-}
-
-void Simulator::replay_effects(SimTime bound) {
-  // K-way merge of the per-lane effect logs by the producing event's
-  // (when, order) key — each log is already sorted (a worker runs its own
-  // lane in order), and orders are globally unique, so this is exactly
-  // the sequence the classic loop would have executed these effects in.
-  std::vector<std::size_t> cursor(workers_ + 1, 0);
-  for (;;) {
-    std::uint32_t best = 0;
-    bool found = false;
-    SimTime best_when = 0.0;
-    std::uint64_t best_order = 0;
-    for (std::uint32_t lane = 1; lane <= workers_; ++lane) {
-      const std::vector<Effect>& fx = lanes_[lane].effects;
-      const std::size_t at = cursor[lane];
-      if (at >= fx.size()) continue;
-      if (!found || fx[at].src_when < best_when ||
-          (fx[at].src_when == best_when && fx[at].src_order < best_order)) {
-        found = true;
-        best = lane;
-        best_when = fx[at].src_when;
-        best_order = fx[at].src_order;
-      }
-    }
-    if (!found) break;
-    // Consume the whole run from this producing event (one merge step per
-    // event, not per effect); intra-event effects replay in append order.
-    Lane& src = lanes_[best];
-    std::size_t at = cursor[best];
-    while (at < src.effects.size() && src.effects[at].src_when == best_when &&
-           src.effects[at].src_order == best_order) {
-      apply_effect(src, src.effects[at], bound);
-      ++at;
-    }
-    cursor[best] = at;
-  }
-  for (std::uint32_t lane = 1; lane <= workers_; ++lane) {
-    lanes_[lane].effects.clear();
-    lanes_[lane].outbox.clear();
-  }
-}
-
-void Simulator::apply_effect(Lane& src, const Effect& effect, SimTime bound) {
-  switch (effect.kind) {
-    case Effect::Kind::kSend: {
-      Envelope envelope = std::move(src.outbox[effect.value]);
-      const auto delay = network_.admit(envelope);
-      if (!delay) return;  // dropped: consumes no order, exactly like classic
-      const SimTime at = effect.when + *delay;
-      if (at < bound)
-        throw std::logic_error(
-            "sharded loop: a worker send landed inside its own window "
-            "(lookahead violated)");
-      dispatch_send(std::move(envelope), at);
-      return;
-    }
-    case Effect::Kind::kPlace: {
-      if (effect.when < bound)
-        throw std::logic_error(
-            "sharded loop: a worker timer landed inside its own window — "
-            "timer delays must be >= the lookahead");
-      // place_registered ignores ids cancelled before placement; the order
-      // is consumed either way (the classic path consumed an id there too).
-      lanes_[effect.lane].queue.place_registered(effect.when, ++order_, effect.value);
-      return;
-    }
-    case Effect::Kind::kExt:
-      ext_(ext_ctx_, effect.a, effect.b, effect.c, effect.v);
-      return;
-  }
-}
-
-void Simulator::worker_main(std::uint32_t lane) {
-  WorkerTls tls{this, lane, kTimeZero, 0};
-  Lane& my = lanes_[lane];
-  std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_go_.wait(lock, [&] { return stop_ || gen_ != seen; });
-    if (stop_) return;
-    seen = gen_;
-    const SimTime bound = bound_;
-    lock.unlock();
-    tls_worker_ = &tls;
-    util::RcThread::deferred = &my.deferred;
-    std::uint64_t ran = 0;
-    std::exception_ptr error;
-    try {
-      while (my.queue.run_next_before(bound, &tls.now, &tls.order)) ++ran;
-    } catch (...) {
-      error = std::current_exception();
-    }
-    tls_worker_ = nullptr;
-    util::RcThread::deferred = nullptr;
-    my.window_events = ran;
-    my.events += ran;
-    lock.lock();
-    if (error != nullptr && worker_error_ == nullptr) worker_error_ = error;
-    if (--active_ == 0) cv_done_.notify_one();
-  }
 }
 
 }  // namespace geomcast::sim

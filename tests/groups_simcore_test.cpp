@@ -14,13 +14,19 @@
 //   (3) the same run() event count.
 // Cells span QoS 0/1/2, stochastic loss, churn, batching, and a warm
 // root-kill, so every subsystem the knob touches is exercised.
+//
+// Each cell is also pinned to golden values (golden/groups_simcore.hpp):
+// an order-independent digest of the delivered tuples and a hash of the
+// stats JSON. A change that moves delivery order or any counter on the
+// fast path and the oracle alike still fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <tuple>
+#include <string_view>
 #include <vector>
 
+#include "golden/groups_simcore.hpp"
 #include "groups/pubsub.hpp"
 #include "obs/snapshot.hpp"
 #include "groups_test_util.hpp"
@@ -32,7 +38,7 @@ using testutil::make_overlay;
 using testutil::subscribe_members;
 
 struct CellResult {
-  std::vector<std::tuple<PeerId, GroupId, std::uint64_t, double>> delivered;
+  std::vector<testutil::DeliveryTuple> delivered;
   std::string stats_json;
   std::size_t events = 0;
 };
@@ -78,9 +84,16 @@ CellResult run_cell(const overlay::OverlayGraph& graph, PubSubConfig config,
   return out;
 }
 
-void expect_equivalent(const overlay::OverlayGraph& graph, PubSubConfig config,
-                       std::size_t groups, std::size_t members, std::size_t publishes,
-                       std::size_t departures = 0, bool kill_root = false) {
+const golden::SimCorePin* find_pin(std::string_view cell) {
+  for (const golden::SimCorePin& pin : golden::kSimCorePins)
+    if (cell == pin.cell) return &pin;
+  return nullptr;
+}
+
+void expect_equivalent(std::string_view cell, const overlay::OverlayGraph& graph,
+                       PubSubConfig config, std::size_t groups, std::size_t members,
+                       std::size_t publishes, std::size_t departures = 0,
+                       bool kill_root = false) {
   config.sim_core = true;
   const auto fast = run_cell(graph, config, groups, members, publishes, departures,
                              kill_root);
@@ -91,6 +104,11 @@ void expect_equivalent(const overlay::OverlayGraph& graph, PubSubConfig config,
   EXPECT_EQ(fast.stats_json, oracle.stats_json);
   EXPECT_EQ(fast.events, oracle.events);
   EXPECT_FALSE(fast.delivered.empty());
+  const golden::SimCorePin* pin = find_pin(cell);
+  ASSERT_NE(pin, nullptr) << "no golden pin for cell " << cell;
+  EXPECT_EQ(testutil::delivered_digest(fast.delivered), pin->delivered_digest)
+      << "cell " << cell;
+  EXPECT_EQ(testutil::text_hash(fast.stats_json), pin->stats_hash) << "cell " << cell;
 }
 
 TEST(GroupsSimCoreTest, QoS0BatchedLossless) {
@@ -98,7 +116,8 @@ TEST(GroupsSimCoreTest, QoS0BatchedLossless) {
   PubSubConfig config;
   config.seed = 211;
   config.batch_window = 0.1;
-  expect_equivalent(graph, config, /*groups=*/4, /*members=*/10, /*publishes=*/6);
+  expect_equivalent("QoS0BatchedLossless", graph, config, /*groups=*/4, /*members=*/10,
+                    /*publishes=*/6);
 }
 
 TEST(GroupsSimCoreTest, QoS1LossyBatchedWithChurn) {
@@ -110,7 +129,8 @@ TEST(GroupsSimCoreTest, QoS1LossyBatchedWithChurn) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.1;
   config.loss.drop_probability = 0.03;
-  expect_equivalent(graph, config, 4, 10, 6, /*departures=*/6);
+  expect_equivalent("QoS1LossyBatchedWithChurn", graph, config, 4, 10, 6,
+                    /*departures=*/6);
 }
 
 TEST(GroupsSimCoreTest, QoS2LossyRepairPath) {
@@ -122,7 +142,7 @@ TEST(GroupsSimCoreTest, QoS2LossyRepairPath) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.05;
   config.loss.drop_probability = 0.04;
-  expect_equivalent(graph, config, 3, 12, 8);
+  expect_equivalent("QoS2LossyRepairPath", graph, config, 3, 12, 8);
 }
 
 TEST(GroupsSimCoreTest, WarmRootKillFailover) {
@@ -134,7 +154,8 @@ TEST(GroupsSimCoreTest, WarmRootKillFailover) {
   config.reliability.max_retries = 4;
   config.batch_window = 0.1;
   config.warm_failover = true;
-  expect_equivalent(graph, config, 3, 12, 6, /*departures=*/0, /*kill_root=*/true);
+  expect_equivalent("WarmRootKillFailover", graph, config, 3, 12, 6, /*departures=*/0,
+                    /*kill_root=*/true);
 }
 
 TEST(GroupsSimCoreTest, SeedSweepQoS1) {
@@ -148,7 +169,7 @@ TEST(GroupsSimCoreTest, SeedSweepQoS1) {
     config.reliability.ack_timeout = 0.05;
     config.reliability.max_retries = 4;
     config.loss.drop_probability = 0.02;
-    expect_equivalent(graph, config, 3, 8, 5);
+    expect_equivalent("SeedSweepQoS1/" + std::to_string(seed), graph, config, 3, 8, 5);
   }
 }
 

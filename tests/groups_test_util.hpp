@@ -7,6 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "geometry/random_points.hpp"
@@ -65,6 +70,47 @@ inline PeerId find_leaf_subscriber(const overlay::OverlayGraph& graph, GroupId g
   for (const PeerId p : members)
     if (p != exclude && gt->tree.reached(p) && gt->tree.children(p).empty()) return p;
   return kInvalidPeer;
+}
+
+/// One application-level delivery as the probe reports it.
+using DeliveryTuple = std::tuple<PeerId, GroupId, std::uint64_t, double>;
+
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Order-independent 128-bit digest of delivered (peer, group, seq, time)
+/// tuples, as 32 hex digits: two 64-bit sums of per-tuple hashes, with the
+/// time hashed by its exact bit pattern. Golden pins compare it, so a
+/// change to who gets what when fails even if it moves every code path.
+inline std::string delivered_digest(const std::vector<DeliveryTuple>& delivered) {
+  std::uint64_t lo = 0, hi = 0;
+  for (const auto& [peer, group, seq, time] : delivered) {
+    std::uint64_t time_bits = 0;
+    std::memcpy(&time_bits, &time, sizeof time_bits);
+    const std::uint64_t h = mix64(peer ^ mix64(group ^ mix64(seq ^ mix64(time_bits))));
+    lo += mix64(h ^ 0x6c6f77ULL);
+    hi += mix64(h ^ 0x68696768ULL);
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%016llx%016llx", static_cast<unsigned long long>(hi),
+                static_cast<unsigned long long>(lo));
+  return buf;
+}
+
+/// 64-bit FNV-1a of a stats JSON string, as 16 hex digits.
+inline std::string text_hash(std::string_view text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
 }
 
 }  // namespace geomcast::groups::testutil
