@@ -6,10 +6,16 @@
 // event queue under the cancel-heavy load reliable traffic produces.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <any>
+#include <map>
+#include <utility>
+#include <vector>
 
+#include "geometry/distance.hpp"
 #include "geometry/random_points.hpp"
 #include "groups/group_manager.hpp"
+#include "groups/group_tree.hpp"
 #include "groups/pubsub.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
@@ -17,6 +23,7 @@
 #include "multicast/space_partition.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
+#include "overlay/grid_knn.hpp"
 #include "overlay/hyperplane_k.hpp"
 #include "overlay/orthant_sweep.hpp"
 #include "sim/event_queue.hpp"
@@ -346,6 +353,43 @@ void BM_GraftCursorStep(benchmark::State& state) {
   state.SetItemsProcessed(steps);
 }
 BENCHMARK(BM_GraftCursorStep)->Arg(200)->Arg(1000);
+
+// One group-tree build over 64 fixed members — the peers nearest the root
+// (peer 0), like the neighbourhood groups of the 100k sweep — on grid-kNN
+// overlays (k = 16) of 10k and 100k peers. Tree state and work scale with
+// the members, not the peer count, so CI gates the median paired 100k/10k
+// time ratio at <= 1.5x (BM_GroupTreeBuild). Each overlay is built once and
+// shared by every repetition; only the build is timed.
+void BM_GroupTreeBuild(benchmark::State& state) {
+  struct Setup {
+    overlay::OverlayGraph graph;
+    std::vector<overlay::PeerId> members;  // ascending
+  };
+  static std::map<std::size_t, Setup> setups;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto it = setups.find(n);
+  if (it == setups.end()) {
+    Setup setup{overlay::build_equilibrium_local(make_points(n, 3),
+                                                 overlay::EmptyRectSelector{}, 16),
+                {}};
+    std::vector<std::pair<double, overlay::PeerId>> by_dist;
+    for (overlay::PeerId p = 1; p < n; ++p)
+      by_dist.emplace_back(geometry::l2_distance_sq(setup.graph.point(p), setup.graph.point(0)),
+                           p);
+    std::partial_sort(by_dist.begin(), by_dist.begin() + 64, by_dist.end());
+    for (std::size_t i = 0; i < 64; ++i) setup.members.push_back(by_dist[i].second);
+    std::sort(setup.members.begin(), setup.members.end());
+    it = setups.emplace(n, std::move(setup)).first;
+  }
+  const Setup& setup = it->second;
+  std::size_t reached = 0;
+  for (auto _ : state)
+    reached += groups::build_group_tree(setup.graph, 0, setup.members).reached_subscribers;
+  benchmark::DoNotOptimize(reached);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(setup.members.size()));
+}
+BENCHMARK(BM_GroupTreeBuild)->Arg(10000)->Arg(100000);
 
 // Routed vs local graft, end to end on the simulated network: 16 early
 // subscribers build the tree, 16 late ones graft into it — arg 1 drives

@@ -28,7 +28,7 @@ void schedule_midwave_kill(
           while (!stack.empty()) {
             const PeerId q = stack.back();
             stack.pop_back();
-            if (gt->is_subscriber[q]) ++subs;
+            if (gt->is_subscriber(q)) ++subs;
             for (const PeerId c : gt->tree.children(q)) stack.push_back(c);
           }
           if (subs > best_subs) {
@@ -79,7 +79,7 @@ void schedule_root_kill(
           while (!stack.empty()) {
             const PeerId q = stack.back();
             stack.pop_back();
-            if (gt->is_subscriber[q]) ++subs;
+            if (gt->is_subscriber(q)) ++subs;
             for (const PeerId c : gt->tree.children(q)) stack.push_back(c);
           }
           if (subs > best_subs) {

@@ -1,6 +1,6 @@
 #include "groups/group_manager.hpp"
 
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
 
 #include "geometry/distance.hpp"
@@ -49,19 +49,10 @@ GroupManager::GroupManager(const overlay::OverlayGraph& graph, GroupConfig confi
     : graph_(graph),
       config_(config),
       alive_(graph.size(), true),
+      grid_(graph.points()),
       retained_(graph.size()) {
   if (graph.size() == 0)
     throw std::invalid_argument("GroupManager: empty overlay");
-  // The peer set is immutable for this manager's lifetime; cache its
-  // bounding box for rendezvous hashing.
-  const std::size_t dims = graph.dims();
-  bounds_lo_.assign(dims, std::numeric_limits<double>::infinity());
-  bounds_hi_.assign(dims, -std::numeric_limits<double>::infinity());
-  for (const geometry::Point& p : graph.points())
-    for (std::size_t d = 0; d < dims; ++d) {
-      bounds_lo_[d] = std::min(bounds_lo_[d], p[d]);
-      bounds_hi_[d] = std::max(bounds_hi_[d], p[d]);
-    }
 }
 
 geometry::Point GroupManager::hash_point(GroupId group, std::uint32_t slot) const {
@@ -77,37 +68,22 @@ geometry::Point GroupManager::hash_point(GroupId group, std::uint32_t slot) cons
   for (std::size_t d = 0; d < dims; ++d) {
     const double frac =
         static_cast<double>(util::split_mix64(sm) >> 11) * 0x1.0p-53;
-    target[d] = bounds_lo_[d] + (bounds_hi_[d] - bounds_lo_[d]) * frac;
+    target[d] = grid_.lo[d] + (grid_.hi[d] - grid_.lo[d]) * frac;
   }
   return target;
 }
 
-PeerId GroupManager::nearest_to(const geometry::Point& target, const PeerId* exclude,
-                                std::size_t exclude_count) const {
-  PeerId best = kInvalidPeer;
-  double best_dist = 0.0;
-  for (PeerId p = 0; p < graph_.size(); ++p) {
-    if (!alive_[p]) continue;
-    bool excluded = false;
-    for (std::size_t i = 0; i < exclude_count; ++i)
-      if (p == exclude[i]) {
-        excluded = true;
-        break;
-      }
-    if (excluded) continue;
-    const double dist = geometry::l1_distance(graph_.point(p), target);
-    if (best == kInvalidPeer || dist < best_dist) {
-      best = p;
-      best_dist = dist;
-    }
-  }
-  return best;
+PeerId GroupManager::nearest_to(const geometry::Point& target,
+                                std::span<const PeerId> exclude) const {
+  return grid_.nearest_l1(graph_.points(), target, [&](PeerId p) {
+    return alive_[p] && std::find(exclude.begin(), exclude.end(), p) == exclude.end();
+  });
 }
 
 PeerId GroupManager::rendezvous_nearest(GroupId group, PeerId exclude) const {
-  // With `exclude` set to the current root, the scan yields the group's
+  // With `exclude` set to the current root, the search yields the group's
   // replica: the deterministic successor a root death would promote.
-  return nearest_to(hash_point(group, 0), &exclude, 1);
+  return nearest_to(hash_point(group, 0), {&exclude, 1});
 }
 
 PeerId GroupManager::rendezvous_root(GroupId group) const {
@@ -121,7 +97,6 @@ GroupManager::GroupState& GroupManager::state_of_slow(GroupId group) {
   auto [it, inserted] = groups_.try_emplace(group);
   GroupState& gs = it->second;
   if (inserted) {
-    gs.subscribers.assign(graph_.size(), false);
     gs.root = rendezvous_root(group);
     if (config_.root_replicas > 1) init_slots(group, gs);
   }
@@ -136,7 +111,6 @@ void GroupManager::init_slots(GroupId group, GroupState& gs) {
   for (std::uint32_t s = 0; s < replicas; ++s)
     gs.anchors.push_back(hash_point(group, s));
   gs.slots.resize(replicas);
-  for (ShardSlot& slot : gs.slots) slot.members.assign(graph_.size(), false);
   // Slot 0's anchor is the legacy rendezvous point, so its root is the
   // legacy root; later slots exclude the earlier roots so R alive peers
   // yield R distinct replicas.
@@ -160,17 +134,16 @@ std::uint32_t GroupManager::owner_slot_of(const GroupState& gs, PeerId peer) con
 }
 
 PeerId GroupManager::recompute_slot_root(const GroupState& gs, std::uint32_t slot) const {
-  PeerId exclude[64];
-  std::size_t exclude_count = 0;
+  std::vector<PeerId> exclude;
+  exclude.reserve(gs.slots.size());
   for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
-    if (s == slot) continue;
     const PeerId other = gs.slots[s].root;
-    if (other != kInvalidPeer && exclude_count < 64) exclude[exclude_count++] = other;
+    if (s != slot && other != kInvalidPeer) exclude.push_back(other);
   }
-  const PeerId best = nearest_to(gs.anchors[slot], exclude, exclude_count);
+  const PeerId best = nearest_to(gs.anchors[slot], exclude);
   // Fewer alive peers than replicas: double up rather than orphan the slot.
   if (best != kInvalidPeer) return best;
-  return nearest_to(gs.anchors[slot], nullptr, 0);
+  return nearest_to(gs.anchors[slot], {});
 }
 
 PeerId GroupManager::root_of(GroupId group) { return state_of(group).root; }
@@ -196,20 +169,20 @@ std::shared_ptr<const GroupTree> GroupManager::slot_tree_snapshot(GroupId group,
                                                                   std::uint32_t slot) {
   GroupState& gs = state_of(group);
   if (gs.slots.empty()) {
-    if (gs.count == 0) return nullptr;
+    if (gs.subscribers.empty()) return nullptr;
     refresh_tree(group, gs);
     return gs.cached;
   }
   ShardSlot& s = gs.slots[slot];
-  if (s.count == 0) return nullptr;
+  if (s.members.empty()) return nullptr;
   refresh_slot_tree(group, gs, slot);
   return s.cached;
 }
 
 std::size_t GroupManager::slot_member_count(GroupId group, std::uint32_t slot) {
   GroupState& gs = state_of(group);
-  if (gs.slots.empty()) return gs.count;
-  return gs.slots[slot].count;
+  if (gs.slots.empty()) return gs.subscribers.size();
+  return gs.slots[slot].members.size();
 }
 
 void GroupManager::subscribe(GroupId group, PeerId peer) {
@@ -218,16 +191,13 @@ void GroupManager::subscribe(GroupId group, PeerId peer) {
   if (!alive_[peer])
     throw std::invalid_argument("GroupManager::subscribe: peer has departed");
   GroupState& gs = state_of(group);
-  if (gs.subscribers[peer]) return;  // duplicate subscribe is a no-op
-  gs.subscribers[peer] = true;
-  ++gs.count;
+  if (!gs.subscribers.insert(peer)) return;  // duplicate subscribe is a no-op
   ++gs.stats.subscribes;
   if (!gs.slots.empty()) {
     // Sharded: the membership lands in the owner slot's shard; the graft
     // rule below applies to the shard tree, not a whole-group tree.
     ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
-    slot.members[peer] = true;
-    ++slot.count;
+    slot.members.insert(peer);
     if (slot.cached && !slot.dirty && !slot.cached->zones_stale) {
       const auto graft =
           graft_subscriber(graph_, writable_tree(slot.cached), peer, config_.tree, alive_);
@@ -263,17 +233,12 @@ void GroupManager::unsubscribe(GroupId group, PeerId peer) {
   const auto it = groups_.find(group);
   if (it == groups_.end()) return;  // unknown group: no-op, no state created
   GroupState& gs = it->second;
-  if (!gs.subscribers[peer]) return;
-  gs.subscribers[peer] = false;
-  --gs.count;
+  if (!gs.subscribers.erase(peer)) return;
   ++gs.stats.unsubscribes;
   if (!gs.slots.empty()) {
     ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
-    if (slot.members[peer]) {
-      slot.members[peer] = false;
-      --slot.count;
-    }
-    if (slot.cached && !slot.dirty && slot.cached->is_subscriber[peer]) {
+    slot.members.erase(peer);
+    if (slot.cached && !slot.dirty && slot.cached->is_subscriber(peer)) {
       const bool touched = slot.cached->tree.reached(peer);
       const std::size_t removed = prune_subscriber(writable_tree(slot.cached), peer);
       if (touched) {
@@ -283,7 +248,7 @@ void GroupManager::unsubscribe(GroupId group, PeerId peer) {
     }
     return;
   }
-  if (gs.cached && !gs.dirty && gs.cached->is_subscriber[peer]) {
+  if (gs.cached && !gs.dirty && gs.cached->is_subscriber(peer)) {
     // Only a spanned subscriber's departure edits the tree; a stranded one
     // is membership-only and must not count toward drift.
     const bool touched = gs.cached->tree.reached(peer);
@@ -302,31 +267,24 @@ GroupManager::SubscribeNeed GroupManager::subscribe_membership(GroupId group,
   if (!alive_[peer])
     throw std::invalid_argument("GroupManager::subscribe_membership: peer has departed");
   GroupState& gs = state_of(group);
-  const bool fresh = !gs.subscribers[peer];
-  if (fresh) {
-    gs.subscribers[peer] = true;
-    ++gs.count;
-    ++gs.stats.subscribes;
-  }
+  const bool fresh = gs.subscribers.insert(peer);
+  if (fresh) ++gs.stats.subscribes;
   if (!gs.slots.empty()) {
     // Sharded: book the shard membership and answer the graft question
     // against the owner slot's tree — the same rule, scoped to the shard.
     ShardSlot& slot = gs.slots[owner_slot_of(gs, peer)];
-    if (fresh) {
-      slot.members[peer] = true;
-      ++slot.count;
-    }
+    if (fresh) slot.members.insert(peer);
     const bool slot_graftable =
         slot.cached && !slot.dirty && !slot.cached->zones_stale;
     if (slot_graftable &&
-        !(slot.cached->is_subscriber[peer] && slot.cached->tree.reached(peer)))
+        !(slot.cached->is_subscriber(peer) && slot.cached->tree.reached(peer)))
       return SubscribeNeed::kGraft;
     if (fresh && !slot_graftable) slot.dirty = true;
     return SubscribeNeed::kNone;
   }
   const bool graftable = gs.cached && !gs.dirty && !gs.cached->zones_stale;
   if (graftable &&
-      !(gs.cached->is_subscriber[peer] && gs.cached->tree.reached(peer)))
+      !(gs.cached->is_subscriber(peer) && gs.cached->tree.reached(peer)))
     return SubscribeNeed::kGraft;
   // Mirror subscribe(): a fresh member without a graftable tree rides the
   // next publish's lazy rebuild; duplicates leave the cache flags alone.
@@ -337,7 +295,7 @@ GroupManager::SubscribeNeed GroupManager::subscribe_membership(GroupId group,
 std::uint64_t GroupManager::graft_begin(GroupId group, PeerId subscriber, PeerId root) {
   GroupState& gs = state_of(group);
   if (subscriber >= graph_.size() || !alive_[subscriber] ||
-      !gs.subscribers[subscriber])
+      !gs.subscribers.contains(subscriber))
     return 0;
   // Sharded groups graft into the subscriber's owner-slot tree; the view
   // binds the legacy whole-group fields otherwise, so the checks and the
@@ -367,7 +325,7 @@ GroupManager::GraftAdvance GroupManager::graft_advance(std::uint64_t graft_id,
   // rebuild, repair (stale zones), migration, membership change, or death
   // of subscriber/current since the previous step fails the descent here
   // rather than replaying it against a tree it never saw.
-  if (!alive_[g.subscriber] || !gs.subscribers[g.subscriber] || v.root != g.root ||
+  if (!alive_[g.subscriber] || !gs.subscribers.contains(g.subscriber) || v.root != g.root ||
       !*v.cached || *v.dirty || (*v.cached)->zones_stale ||
       self != g.cursor.current || !(*v.cached)->tree.reached(g.cursor.current))
     return advance;
@@ -410,8 +368,8 @@ bool GroupManager::graft_finish(std::uint64_t graft_id) {
   // member can end up owed a span no descent will ever provide. Defer to
   // a rebuild rather than leave a clean cache that never delivers.
   const SlotView v = view_of(gs, it->second.slot);
-  if (gs.subscribers[subscriber] && *v.cached && !*v.dirty &&
-      !((*v.cached)->is_subscriber[subscriber] &&
+  if (gs.subscribers.contains(subscriber) && *v.cached && !*v.dirty &&
+      !((*v.cached)->is_subscriber(subscriber) &&
         (*v.cached)->tree.reached(subscriber)))
     *v.dirty = true;
   grafting_.erase({it->second.group, subscriber});
@@ -440,13 +398,12 @@ std::optional<GroupManager::AbortedGraft> GroupManager::graft_abort(
 
 bool GroupManager::is_subscribed(GroupId group, PeerId peer) const {
   const auto it = groups_.find(group);
-  return it != groups_.end() && peer < it->second.subscribers.size() &&
-         it->second.subscribers[peer];
+  return it != groups_.end() && it->second.subscribers.contains(peer);
 }
 
 std::size_t GroupManager::subscriber_count(GroupId group) const {
   const auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.count;
+  return it == groups_.end() ? 0 : it->second.subscribers.size();
 }
 
 GroupTree& GroupManager::writable_tree(std::shared_ptr<GroupTree>& cached) {
@@ -455,40 +412,20 @@ GroupTree& GroupManager::writable_tree(std::shared_ptr<GroupTree>& cached) {
   return *cached;
 }
 
-GroupTree& GroupManager::writable_tree_stale(std::shared_ptr<GroupTree>& cached) {
-  if (cached.use_count() > 1) {
-    const GroupTree& src = *cached;
-    auto clone = std::make_shared<GroupTree>();
-    clone->tree = src.tree;
-    clone->is_subscriber = src.is_subscriber;
-    clone->subscriber_count = src.subscriber_count;
-    clone->reached_subscribers = src.reached_subscribers;
-    clone->build_messages = src.build_messages;
-    clone->zones_stale = true;
-    cached = std::move(clone);
-  } else {
-    // Sole owner: no clone needed, but the zones are dead weight now.
-    cached->zones.clear();
-    cached->zones.shrink_to_fit();
-    cached->zones_stale = true;
-  }
-  return *cached;
-}
-
 void GroupManager::refresh_tree_core(GroupId group, GroupStats& stats, PeerId root,
-                                     const std::vector<bool>& members,
-                                     std::size_t count,
+                                     const overlay::PeerSet& members,
                                      std::shared_ptr<GroupTree>& cached, bool& dirty,
                                      std::size_t& repairs_since_build) {
   const bool drifted =
       repairs_since_build >
-      config_.rebuild_threshold * static_cast<double>(std::max<std::size_t>(count, 1));
+      config_.rebuild_threshold *
+          static_cast<double>(std::max<std::size_t>(members.size(), 1));
   if (cached && !dirty && !drifted) {
     ++stats.cache_hits;
     return;
   }
   cached = std::make_shared<GroupTree>(
-      build_group_tree(graph_, root, members, config_.tree, alive_));
+      build_group_tree(graph_, root, members.sorted(), config_.tree, alive_));
   dirty = false;
   repairs_since_build = 0;
   ++stats.tree_builds;
@@ -507,31 +444,31 @@ void GroupManager::refresh_tree_core(GroupId group, GroupStats& stats, PeerId ro
   stats.stranded_rescues += rescue.rescued;
   stats.repair_messages += rescue.messages;
   stats.stranded_subscribers =
-      cached->subscriber_count - cached->reached_subscribers;
+      cached->subscriber_count() - cached->reached_subscribers;
 }
 
 void GroupManager::refresh_tree(GroupId group, GroupState& gs) {
-  refresh_tree_core(group, gs.stats, gs.root, gs.subscribers, gs.count, gs.cached,
-                    gs.dirty, gs.repairs_since_build);
+  refresh_tree_core(group, gs.stats, gs.root, gs.subscribers, gs.cached, gs.dirty,
+                    gs.repairs_since_build);
 }
 
 void GroupManager::refresh_slot_tree(GroupId group, GroupState& gs,
                                      std::uint32_t slot) {
   ShardSlot& s = gs.slots[slot];
-  refresh_tree_core(group, gs.stats, s.root, s.members, s.count, s.cached, s.dirty,
+  refresh_tree_core(group, gs.stats, s.root, s.members, s.cached, s.dirty,
                     s.repairs_since_build);
 }
 
 const GroupTree* GroupManager::tree(GroupId group) {
   GroupState& gs = state_of(group);
-  if (gs.count == 0) return nullptr;
+  if (gs.subscribers.empty()) return nullptr;
   refresh_tree(group, gs);
   return gs.cached.get();
 }
 
 std::shared_ptr<const GroupTree> GroupManager::tree_snapshot(GroupId group) {
   GroupState& gs = state_of(group);
-  if (gs.count == 0) return nullptr;
+  if (gs.subscribers.empty()) return nullptr;
   refresh_tree(group, gs);
   return gs.cached;
 }
@@ -579,11 +516,11 @@ PeerId GroupManager::replica_candidate(GroupId group) {
   if (gs.slots.empty()) return rendezvous_nearest(group, gs.root);
   // Sharded: the warm-failover replica must not double as any slot's root,
   // or one death would cost two shards at once.
-  PeerId exclude[64];
-  std::size_t n = 0;
+  std::vector<PeerId> exclude;
+  exclude.reserve(gs.slots.size());
   for (const ShardSlot& slot : gs.slots)
-    if (slot.root != kInvalidPeer && n < 64) exclude[n++] = slot.root;
-  return nearest_to(gs.anchors[0], exclude, n);
+    if (slot.root != kInvalidPeer) exclude.push_back(slot.root);
+  return nearest_to(gs.anchors[0], exclude);
 }
 
 PeerId GroupManager::ensure_replica(GroupId group) {
@@ -593,7 +530,6 @@ PeerId GroupManager::ensure_replica(GroupId group) {
   // A fresh assignment knows nothing yet; the protocol layer streams the
   // full bootstrap before any delta relies on this copy.
   gs.replica_members.clear();
-  gs.replica_count = 0;
   return gs.replica;
 }
 
@@ -605,30 +541,34 @@ PeerId GroupManager::replica_of(GroupId group) const {
 void GroupManager::replica_apply_membership(GroupId group, PeerId member,
                                             bool subscribed) {
   GroupState& gs = state_of(group);
-  if (gs.replica_members.empty()) gs.replica_members.assign(graph_.size(), false);
-  if (member >= gs.replica_members.size() ||
-      gs.replica_members[member] == subscribed)
-    return;
-  gs.replica_members[member] = subscribed;
+  if (member >= graph_.size()) return;
   if (subscribed)
-    ++gs.replica_count;
+    gs.replica_members.insert(member);
   else
-    --gs.replica_count;
+    gs.replica_members.erase(member);
 }
 
 std::size_t GroupManager::replica_member_count(GroupId group) const {
   const auto it = groups_.find(group);
-  return it == groups_.end() ? 0 : it->second.replica_count;
+  return it == groups_.end() ? 0 : it->second.replica_members.size();
+}
+
+bool GroupManager::replica_matches(const GroupState& gs) const {
+  // The replica's synced copy against the authoritative set, masking dead
+  // peers in the copy: a promoted root purges the dead locally (the failure
+  // detector is global), so only raced subscribe/unsubscribe deltas of
+  // alive peers count as divergence.
+  for (const PeerId p : gs.subscribers.keys())
+    if (!alive_[p] || !gs.replica_members.contains(p)) return false;
+  for (const PeerId p : gs.replica_members.keys())
+    if (alive_[p] && !gs.subscribers.contains(p)) return false;
+  return true;
 }
 
 std::vector<PeerId> GroupManager::subscribers_of(GroupId group) const {
-  std::vector<PeerId> members;
   const auto it = groups_.find(group);
-  if (it == groups_.end()) return members;
-  members.reserve(it->second.count);
-  for (PeerId p = 0; p < it->second.subscribers.size(); ++p)
-    if (it->second.subscribers[p]) members.push_back(p);
-  return members;
+  if (it == groups_.end()) return {};
+  return it->second.subscribers.sorted();
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> GroupManager::retained_ranges(
@@ -643,11 +583,11 @@ GroupManager::PublishReceipt GroupManager::publish(GroupId group) {
   GroupState& gs = state_of(group);
   ++gs.stats.publishes;
   PublishReceipt receipt;
-  if (gs.count == 0) return receipt;
+  if (gs.subscribers.empty()) return receipt;
   if (!gs.slots.empty()) {
     // Sharded oracle: one shard tree per non-empty slot, summed.
     for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
-      if (gs.slots[s].count == 0) continue;
+      if (gs.slots[s].members.empty()) continue;
       refresh_slot_tree(group, gs, s);
       const GroupTree& gt = *gs.slots[s].cached;
       receipt.payload_messages += gt.tree.edge_count();
@@ -682,9 +622,7 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
       handle_departure_sharded_group(group, gs, peer, outcome);
       continue;
     }
-    if (gs.subscribers[peer]) {
-      gs.subscribers[peer] = false;
-      --gs.count;
+    if (gs.subscribers.erase(peer)) {
       // The surviving root owes its replica an unmember delta; a dying
       // root cannot send one (the promotion bootstrap covers it instead).
       if (gs.root != peer) outcome.member_losses.push_back(group);
@@ -695,7 +633,6 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
       outcome.replica_losses.push_back({group, peer});
       gs.replica = kInvalidPeer;
       gs.replica_members.clear();
-      gs.replica_count = 0;
     }
     if (gs.root == peer) {
       // Rendezvous migrates to the next-nearest alive peer; the old root's
@@ -706,23 +643,8 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
       const PeerId old_root = gs.root;
       gs.root = rendezvous_root(group);
       const bool warm = gs.replica != kInvalidPeer && gs.replica == gs.root;
-      bool consistent = false;
-      if (warm) {
-        // Compare the replica's synced copy against the authoritative set,
-        // masking dead peers in the copy: a promoted root purges the dead
-        // locally (the failure detector is global), so only raced
-        // subscribe/unsubscribe deltas of alive peers count as divergence.
-        consistent = true;
-        for (PeerId p = 0; p < gs.subscribers.size(); ++p) {
-          const bool copy = p < gs.replica_members.size() &&
-                            gs.replica_members[p] && alive_[p];
-          if (copy != static_cast<bool>(gs.subscribers[p])) {
-            consistent = false;
-            break;
-          }
-        }
-        ++gs.stats.warm_promotions;
-      }
+      const bool consistent = warm && replica_matches(gs);
+      if (warm) ++gs.stats.warm_promotions;
       gs.cached.reset();
       gs.dirty = true;
       ++gs.stats.root_migrations;
@@ -730,7 +652,6 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
       // old copy's job is done.
       gs.replica = kInvalidPeer;
       gs.replica_members.clear();
-      gs.replica_count = 0;
       outcome.promotions.push_back({group, old_root, gs.root, warm, consistent});
       if (tracer_.enabled())
         tracer_.emit({clock_now(), obs::TraceEventType::kRootMigration, group,
@@ -739,7 +660,7 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
     }
     if (!gs.cached || gs.dirty) continue;
     if (!gs.cached->tree.reached(peer)) {
-      const bool stranded_member = gs.cached->is_subscriber[peer];
+      const bool stranded_member = gs.cached->is_subscriber(peer);
       // Not in the tree, but the departure still shrinks the candidate
       // sets of any in-tree overlay neighbour — a replayed recursion (what
       // a graft does) would pick different delegates there, so the zones
@@ -751,20 +672,13 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
           break;
         }
       if (stranded_member || neighbours_tree) {
-        GroupTree& gt = neighbours_tree ? writable_tree_stale(gs.cached)
-                                        : writable_tree(gs.cached);
-        if (stranded_member) {  // membership only; never spanned
-          gt.is_subscriber[peer] = false;
-          --gt.subscriber_count;
-        }
-        if (neighbours_tree) gt.zones_stale = true;
+        GroupTree& gt = writable_tree(gs.cached);
+        gt.subscribers.erase(peer);  // a stranded member was never spanned
+        if (neighbours_tree) gt.stale_zones();
       }
       continue;
     }
-    // repair_group_tree stales the zones unconditionally, so the COW clone
-    // skips copying them.
-    const auto repair =
-        repair_group_tree(graph_, writable_tree_stale(gs.cached), peer, alive_);
+    const auto repair = repair_group_tree(graph_, writable_tree(gs.cached), peer, alive_);
     ++gs.stats.repairs;
     gs.stats.repair_messages += repair.messages;
     if (repair.needs_rebuild) {
@@ -787,7 +701,7 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
     const InFlightGraft& g = it->second;
     GroupState& gs = groups_.at(g.group);
     const SlotView v = view_of(gs, g.slot);
-    const bool valid = alive_[g.subscriber] && gs.subscribers[g.subscriber] &&
+    const bool valid = alive_[g.subscriber] && gs.subscribers.contains(g.subscriber) &&
                        v.root == g.root && *v.cached && !*v.dirty &&
                        !(*v.cached)->zones_stale &&
                        (*v.cached)->tree.reached(g.cursor.current);
@@ -802,14 +716,9 @@ GroupManager::DepartureOutcome GroupManager::handle_departure(PeerId peer) {
 void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
                                                   PeerId peer,
                                                   DepartureOutcome& outcome) {
-  if (gs.subscribers[peer]) {
-    gs.subscribers[peer] = false;
-    --gs.count;
+  if (gs.subscribers.erase(peer)) {
     ShardSlot& owner = gs.slots[owner_slot_of(gs, peer)];
-    if (owner.members[peer]) {
-      owner.members[peer] = false;
-      --owner.count;
-    }
+    owner.members.erase(peer);
     // The surviving owner-slot root owes the replica an unmember delta; a
     // dying root cannot send one (the promotion bootstrap covers it).
     if (owner.root != peer) outcome.member_losses.push_back(group);
@@ -818,7 +727,6 @@ void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
     outcome.replica_losses.push_back({group, peer});
     gs.replica = kInvalidPeer;
     gs.replica_members.clear();
-    gs.replica_count = 0;
   }
   for (std::uint32_t s = 0; s < gs.slots.size(); ++s) {
     ShardSlot& slot = gs.slots[s];
@@ -832,19 +740,8 @@ void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
       slot.root = recompute_slot_root(gs, s);
       const bool warm =
           s == 0 && gs.replica != kInvalidPeer && gs.replica == slot.root;
-      bool consistent = false;
-      if (warm) {
-        consistent = true;
-        for (PeerId p = 0; p < gs.subscribers.size(); ++p) {
-          const bool copy = p < gs.replica_members.size() &&
-                            gs.replica_members[p] && alive_[p];
-          if (copy != static_cast<bool>(gs.subscribers[p])) {
-            consistent = false;
-            break;
-          }
-        }
-        ++gs.stats.warm_promotions;
-      }
+      const bool consistent = warm && replica_matches(gs);
+      if (warm) ++gs.stats.warm_promotions;
       slot.cached.reset();
       slot.dirty = true;
       slot.repairs_since_build = 0;
@@ -853,7 +750,6 @@ void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
         gs.root = slot.root;  // root_of stays "the authority's root"
         gs.replica = kInvalidPeer;
         gs.replica_members.clear();
-        gs.replica_count = 0;
       }
       outcome.promotions.push_back({group, old_root, slot.root, warm, consistent, s});
       if (tracer_.enabled())
@@ -863,7 +759,7 @@ void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
     }
     if (!slot.cached || slot.dirty) continue;
     if (!slot.cached->tree.reached(peer)) {
-      const bool stranded_member = slot.cached->is_subscriber[peer];
+      const bool stranded_member = slot.cached->is_subscriber(peer);
       bool neighbours_tree = false;
       for (PeerId q : graph_.neighbors(peer))
         if (slot.cached->tree.reached(q)) {
@@ -871,18 +767,13 @@ void GroupManager::handle_departure_sharded_group(GroupId group, GroupState& gs,
           break;
         }
       if (stranded_member || neighbours_tree) {
-        GroupTree& gt = neighbours_tree ? writable_tree_stale(slot.cached)
-                                        : writable_tree(slot.cached);
-        if (stranded_member) {
-          gt.is_subscriber[peer] = false;
-          --gt.subscriber_count;
-        }
-        if (neighbours_tree) gt.zones_stale = true;
+        GroupTree& gt = writable_tree(slot.cached);
+        gt.subscribers.erase(peer);
+        if (neighbours_tree) gt.stale_zones();
       }
       continue;
     }
-    const auto repair =
-        repair_group_tree(graph_, writable_tree_stale(slot.cached), peer, alive_);
+    const auto repair = repair_group_tree(graph_, writable_tree(slot.cached), peer, alive_);
     ++gs.stats.repairs;
     gs.stats.repair_messages += repair.messages;
     if (repair.needs_rebuild) {

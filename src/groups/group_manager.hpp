@@ -23,13 +23,16 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "groups/group_stats.hpp"
 #include "groups/group_tree.hpp"
 #include "obs/trace.hpp"
+#include "overlay/bucket_grid.hpp"
 #include "overlay/graph.hpp"
+#include "overlay/peer_map.hpp"
 
 namespace geomcast::groups {
 
@@ -371,25 +374,24 @@ class GroupManager {
   /// tuple the legacy GroupState keeps for the whole group.
   struct ShardSlot {
     PeerId root = kInvalidPeer;
-    std::vector<bool> members;
-    std::size_t count = 0;
+    overlay::PeerSet members;
     std::shared_ptr<GroupTree> cached;
     bool dirty = true;
     std::size_t repairs_since_build = 0;
   };
 
+  /// Membership is kept in member-sized sets, so a group costs O(members)
+  /// however many peers the overlay has.
   struct GroupState {
-    std::vector<bool> subscribers;
-    std::size_t count = 0;
+    overlay::PeerSet subscribers;
     PeerId root = kInvalidPeer;
     std::shared_ptr<GroupTree> cached;
     bool dirty = true;  // cached tree (if any) no longer trusted
     std::size_t repairs_since_build = 0;
     // Warm failover: the established replica and its sync-driven copy of
-    // the subscriber set (empty vector until the first delta lands).
+    // the subscriber set.
     PeerId replica = kInvalidPeer;
-    std::vector<bool> replica_members;
-    std::size_t replica_count = 0;
+    overlay::PeerSet replica_members;
     // Replica sharding (root_replicas > 1 only; both stay empty otherwise).
     // slots[0].root mirrors `root` so root_of keeps meaning "the authority".
     std::vector<ShardSlot> slots;
@@ -405,21 +407,23 @@ class GroupManager {
   }
   GroupState& state_of_slow(GroupId group);
   [[nodiscard]] PeerId rendezvous_root(GroupId group) const;
-  /// Shared rendezvous scan: nearest alive peer to the group's hash point,
-  /// skipping `exclude`; kInvalidPeer when no candidate remains.
+  /// Shared rendezvous lookup: nearest alive peer to the group's hash
+  /// point, skipping `exclude`; kInvalidPeer when no candidate remains.
   [[nodiscard]] PeerId rendezvous_nearest(GroupId group, PeerId exclude) const;
   /// The deterministic hash point for (group, slot); slot 0 reproduces the
   /// legacy rendezvous point bit-for-bit.
   [[nodiscard]] geometry::Point hash_point(GroupId group, std::uint32_t slot) const;
-  /// Nearest alive peer to `target` skipping the `exclude_count` peers at
-  /// `exclude`; kInvalidPeer when no candidate remains.
-  [[nodiscard]] PeerId nearest_to(const geometry::Point& target, const PeerId* exclude,
-                                  std::size_t exclude_count) const;
+  /// Nearest alive peer to `target` under L1, ties to the lowest id,
+  /// skipping the peers in `exclude`; kInvalidPeer when no candidate
+  /// remains. A ring search over the peer bucket grid: it visits the
+  /// target's neighbourhood, not every peer.
+  [[nodiscard]] PeerId nearest_to(const geometry::Point& target,
+                                  std::span<const PeerId> exclude) const;
   /// Materializes the slot array + anchors for a first-seen sharded group.
   void init_slots(GroupId group, GroupState& gs);
   [[nodiscard]] std::uint32_t owner_slot_of(const GroupState& gs, PeerId peer) const;
   /// Re-elects `slot`'s root: nearest alive peer to its anchor excluding
-  /// the other slots' current roots (falling back to no exclusions when
+  /// every other slot's current root (falling back to no exclusions when
   /// the alive set is smaller than R).
   [[nodiscard]] PeerId recompute_slot_root(const GroupState& gs, std::uint32_t slot) const;
   void refresh_tree(GroupId group, GroupState& gs);
@@ -428,17 +432,16 @@ class GroupManager {
   /// identical statements over whichever (root, members, cached, dirty,
   /// drift) tuple the caller binds, so the R == 1 path stays bit-exact.
   void refresh_tree_core(GroupId group, GroupStats& stats, PeerId root,
-                         const std::vector<bool>& members, std::size_t count,
+                         const overlay::PeerSet& members,
                          std::shared_ptr<GroupTree>& cached, bool& dirty,
                          std::size_t& repairs_since_build);
   /// COW gate: clones the cached tree iff publish-wave snapshots still
-  /// reference it, then returns it for mutation.
+  /// reference it, then returns it for mutation. A clone costs O(tree
+  /// nodes); callers that stale the zones drop them with stale_zones().
   [[nodiscard]] GroupTree& writable_tree(std::shared_ptr<GroupTree>& cached);
-  /// COW gate for callers about to stale the zones (departure repair,
-  /// neighbour-set shrink): the clone skips the zones vector — the tree's
-  /// largest member — because no reader may consult zones once zones_stale
-  /// is set, and nothing resets the flag short of a full rebuild.
-  [[nodiscard]] GroupTree& writable_tree_stale(std::shared_ptr<GroupTree>& cached);
+  /// Whether the replica's synced membership copy matches the
+  /// authoritative set at a warm promotion.
+  [[nodiscard]] bool replica_matches(const GroupState& gs) const;
 
   struct InFlightGraft {
     GroupId group = 0;
@@ -469,7 +472,9 @@ class GroupManager {
   const overlay::OverlayGraph& graph_;
   GroupConfig config_;
   std::vector<bool> alive_;
-  std::vector<double> bounds_lo_, bounds_hi_;  // peer bounding box (immutable)
+  /// Peer buckets over the (immutable) peer set: the rendezvous ring search
+  /// and the bounding box group ids hash into.
+  overlay::BucketGrid grid_;
   std::map<GroupId, GroupState> groups_;
   /// One-entry memo over groups_: protocol traffic touches the same group
   /// many times in a row (every hop of a wave), and groups_ nodes are never

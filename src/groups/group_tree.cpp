@@ -1,5 +1,6 @@
 #include "groups/group_tree.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <stdexcept>
 #include <utility>
@@ -31,10 +32,11 @@ std::vector<overlay::Candidate> alive_neighbors(const overlay::OverlayGraph& gra
 /// subscriber, or a branching point). Returns edges removed.
 std::size_t cascade_relays(GroupTree& gt, PeerId v) {
   std::size_t removed = 0;
-  while (v != gt.tree.root() && !gt.is_subscriber[v] && gt.tree.reached(v) &&
+  while (v != gt.tree.root() && !gt.is_subscriber(v) && gt.tree.reached(v) &&
          gt.tree.children(v).empty()) {
     const PeerId up = gt.tree.parent(v);
     gt.tree.remove_leaf(v);
+    gt.zones.erase(v);
     ++removed;
     v = up;
   }
@@ -54,26 +56,35 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
                            const std::vector<bool>& subscribers,
                            const multicast::MulticastConfig& config,
                            const std::vector<bool>& alive) {
+  if (subscribers.size() != graph.size())
+    throw std::invalid_argument("build_group_tree: subscriber mask size mismatch");
+  std::vector<PeerId> ids;
+  for (PeerId p = 0; p < subscribers.size(); ++p)
+    if (subscribers[p]) ids.push_back(p);
+  return build_group_tree(graph, root, ids, config, alive);
+}
+
+GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
+                           const std::vector<PeerId>& subscriber_ids,
+                           const multicast::MulticastConfig& config,
+                           const std::vector<bool>& alive) {
   const std::size_t n = graph.size();
   if (root >= n) throw std::invalid_argument("build_group_tree: root out of range");
-  if (subscribers.size() != n)
-    throw std::invalid_argument("build_group_tree: subscriber mask size mismatch");
   if (!alive.empty() && alive.size() != n)
     throw std::invalid_argument("build_group_tree: alive mask size mismatch");
   check_deterministic(config);
 
   GroupTree gt;
   gt.tree = multicast::MulticastTree(n, root);
-  gt.zones.assign(n, geometry::Rect(graph.dims()));
-  gt.is_subscriber = subscribers;
-  std::vector<PeerId> subscriber_ids;
-  for (PeerId p = 0; p < n; ++p)
-    if (subscribers[p]) {
-      if (!is_alive(alive, p))
-        throw std::invalid_argument("build_group_tree: subscriber is not alive");
-      ++gt.subscriber_count;
-      subscriber_ids.push_back(p);
-    }
+  for (std::size_t i = 0; i < subscriber_ids.size(); ++i) {
+    const PeerId p = subscriber_ids[i];
+    if (p >= n) throw std::invalid_argument("build_group_tree: subscriber out of range");
+    if (i > 0 && p <= subscriber_ids[i - 1])
+      throw std::invalid_argument("build_group_tree: subscriber ids not strictly ascending");
+    if (!is_alive(alive, p))
+      throw std::invalid_argument("build_group_tree: subscriber is not alive");
+    gt.subscribers.insert(p);
+  }
 
   // Each queue entry carries the subscribers strictly inside its zone;
   // sibling slices are disjoint, so every subscriber follows exactly one
@@ -84,9 +95,10 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
     geometry::Rect zone;
     std::vector<PeerId> subs;
   };
-  gt.zones[root] = multicast::initiator_zone(graph.dims());
+  const geometry::Rect& root_zone =
+      gt.zones.assign(root, multicast::initiator_zone(graph.dims()));
   std::deque<Pending> queue;
-  queue.push_back(Pending{root, gt.zones[root], subscriber_ids});
+  queue.push_back(Pending{root, root_zone, subscriber_ids});
 
   while (!queue.empty()) {
     const Pending current = std::move(queue.front());
@@ -107,7 +119,7 @@ GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
       const multicast::ZoneAssignment& a = assignments[i];
       ++gt.build_messages;
       gt.tree.add_edge(current.peer, a.child);
-      gt.zones[a.child] = a.zone;
+      gt.zones.assign(a.child, a.zone);
       queue.push_back(Pending{a.child, a.zone, std::move(split[i])});
     }
   }
@@ -133,11 +145,7 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
     // Already spanned: a re-subscribe, a relay promotion, or (mid-descent)
     // a concurrent graft that recruited s as a relay first. Flip the
     // delivery flag and stop — no further descent decision is owed.
-    if (!gt.is_subscriber[s]) {
-      gt.is_subscriber[s] = true;
-      ++gt.subscriber_count;
-      ++gt.reached_subscribers;
-    }
+    if (gt.subscribers.insert(s)) ++gt.reached_subscribers;
     return GraftStep{GraftStatus::kAttached, s};
   }
   // Every decision either follows an existing edge or creates the next
@@ -145,11 +153,13 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   // new path's length; past the peer count the cache is inconsistent.
   if (cursor.steps > graph.size()) return GraftStep{GraftStatus::kExhausted};
 
+  const geometry::Rect* zone = gt.zones.find(cursor.current);
+  if (zone == nullptr) throw std::logic_error("graft_step: cursor is not at a tree node");
   const geometry::Point& target = graph.point(s);
   const auto neighbors = alive_neighbors(graph, cursor.current, alive);
   const auto assignments =
-      multicast::partition_step(graph.point(cursor.current), gt.zones[cursor.current],
-                                neighbors, config.policy, config.metric);
+      multicast::partition_step(graph.point(cursor.current), *zone, neighbors,
+                                config.policy, config.metric);
   const multicast::ZoneAssignment* next = nullptr;
   for (const multicast::ZoneAssignment& a : assignments)
     if (a.zone.contains_interior(target)) {
@@ -160,17 +170,13 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
   ++cursor.steps;
   if (!gt.tree.reached(next->child)) {
     gt.tree.add_edge(cursor.current, next->child);
-    gt.zones[next->child] = next->zone;
+    gt.zones.assign(next->child, next->zone);
     // A stranded subscriber recruited as a relay is spanned again.
-    if (gt.is_subscriber[next->child]) ++gt.reached_subscribers;
+    if (gt.is_subscriber(next->child)) ++gt.reached_subscribers;
   }
   cursor.current = next->child;
   if (cursor.current == s) {
-    if (!gt.is_subscriber[s]) {
-      gt.is_subscriber[s] = true;
-      ++gt.subscriber_count;
-      ++gt.reached_subscribers;
-    }
+    if (gt.subscribers.insert(s)) ++gt.reached_subscribers;
     return GraftStep{GraftStatus::kAttached, s};
   }
   return GraftStep{GraftStatus::kDescend, cursor.current};
@@ -202,11 +208,9 @@ GraftResult graft_subscriber(const overlay::OverlayGraph& graph, GroupTree& gt, 
 }
 
 std::size_t prune_subscriber(GroupTree& gt, PeerId s) {
-  if (s >= gt.is_subscriber.size())
+  if (s >= gt.tree.peer_count())
     throw std::invalid_argument("prune_subscriber: peer out of range");
-  if (!gt.is_subscriber[s]) return 0;
-  gt.is_subscriber[s] = false;
-  --gt.subscriber_count;
+  if (!gt.subscribers.erase(s)) return 0;
   if (!gt.tree.reached(s)) return 0;
   --gt.reached_subscribers;
   return cascade_relays(gt, s);
@@ -222,11 +226,8 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
     throw std::invalid_argument("repair_group_tree: migrate the root before repairing");
 
   GroupRepairResult result;
-  if (gt.is_subscriber[departed]) {
-    gt.is_subscriber[departed] = false;
-    --gt.subscriber_count;
-    if (gt.tree.reached(departed)) --gt.reached_subscribers;
-  }
+  if (gt.subscribers.erase(departed) && gt.tree.reached(departed))
+    --gt.reached_subscribers;
   if (!gt.tree.reached(departed)) return result;
 
   // Orphans are processed one at a time so the adopt/splice predicates see
@@ -279,7 +280,7 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       gt.tree.add_edge(parent, *it);
       // A stranded subscriber recruited as a splice relay is spanned again.
-      if (gt.is_subscriber[*it]) ++gt.reached_subscribers;
+      if (gt.is_subscriber(*it)) ++gt.reached_subscribers;
       ++result.spliced_relays;
       ++result.messages;
       parent = *it;
@@ -299,17 +300,23 @@ GroupRepairResult repair_group_tree(const overlay::OverlayGraph& graph, GroupTre
   // Even a pure leaf removal stales the zones: the departed peer leaves
   // the candidate sets of its in-tree overlay neighbours, so replaying the
   // recursion (what a graft does) would pick different delegates there.
-  gt.zones_stale = true;
+  gt.stale_zones();
   return result;
 }
 
 StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree& gt,
                                    const std::vector<bool>& alive) {
   StrandRescueResult result;
-  if (gt.reached_subscribers == gt.subscriber_count) return result;
+  if (gt.reached_subscribers == gt.subscriber_count()) return result;
   const auto usable = [&](PeerId q) { return is_alive(alive, q); };
-  for (PeerId s = 0; s < gt.is_subscriber.size(); ++s) {
-    if (!gt.is_subscriber[s] || gt.tree.reached(s)) continue;
+  // Ascending ids: an earlier rescue's splice path can recruit a later
+  // stranded subscriber, so the order decides the tree.
+  std::vector<PeerId> stranded;
+  for (PeerId s : gt.subscribers.keys())
+    if (!gt.tree.reached(s)) stranded.push_back(s);
+  std::sort(stranded.begin(), stranded.end());
+  for (PeerId s : stranded) {
+    if (gt.tree.reached(s)) continue;
     // Same shape as repair's splice fallback, with a single stranded peer
     // instead of an orphan subtree: greedy-walk toward the root, recruit
     // the non-tree relays passed through, attach at the first in-tree
@@ -335,7 +342,7 @@ StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree
     PeerId parent = adopter;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       gt.tree.add_edge(parent, *it);
-      if (gt.is_subscriber[*it]) ++gt.reached_subscribers;
+      if (gt.is_subscriber(*it)) ++gt.reached_subscribers;
       ++result.spliced_relays;
       ++result.messages;
       parent = *it;
@@ -347,7 +354,7 @@ StrandRescueResult rescue_stranded(const overlay::OverlayGraph& graph, GroupTree
   }
   // Splice paths are not what the recursion would have produced: replaying
   // a zone descent against them is undefined, so grafts must rebuild.
-  if (result.rescued > 0 || result.spliced_relays > 0) gt.zones_stale = true;
+  if (result.rescued > 0 || result.spliced_relays > 0) gt.stale_zones();
   return result;
 }
 

@@ -22,10 +22,18 @@
 // build; it marks the zones stale, which blocks further zone-guided grafts
 // until the GroupManager rebuilds.
 //
+// Storage is member-sized, like the paper's zones, which exist only for
+// tree nodes: the tree, the zones and the delivery flags each hold one
+// entry per reached peer or per subscriber (overlay::PeerMap / PeerSet),
+// never an n-sized array. A build, a COW clone and every maintenance step
+// cost O(tree nodes), independent of the overlay's peer count; prunes,
+// cascades and repairs free the entries of the peers they drop, and
+// staling the zones drops them all.
+//
 // General-position caveat (inherited from the paper's open-zone recursion):
 // a subscriber whose identifier ties a delegating peer's coordinate lies on
 // a zone boundary and cannot be reached by any slice. Such subscribers stay
-// unreached (reached_subscribers < subscriber_count); GroupStats surfaces
+// unreached (reached_subscribers < subscriber_count()); GroupStats surfaces
 // them as stranded_subscribers rather than hiding them in the delivery
 // ratio. Random real-valued identifiers hit this with probability zero.
 #pragma once
@@ -33,8 +41,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "geometry/rect.hpp"
 #include "multicast/space_partition.hpp"
 #include "overlay/graph.hpp"
+#include "overlay/peer_map.hpp"
 
 namespace geomcast::groups {
 
@@ -42,11 +52,12 @@ using overlay::PeerId;
 using overlay::kInvalidPeer;
 
 struct GroupTree {
-  multicast::MulticastTree tree;      // spans subscribers and relays
-  std::vector<geometry::Rect> zones;  // responsibility zone per reached peer
-  std::vector<bool> is_subscriber;    // delivery flag per peer
-  std::size_t subscriber_count = 0;   // peers with the delivery flag set
-  /// Subscribers the tree actually spans (== subscriber_count unless a
+  multicast::MulticastTree tree;  // spans subscribers and relays
+  /// Responsibility zone per reached peer; emptied once zones_stale is set.
+  overlay::PeerMap<geometry::Rect> zones;
+  /// Delivery flags: every subscriber, spanned or stranded.
+  overlay::PeerSet subscribers;
+  /// Subscribers the tree actually spans (== subscriber_count() unless a
   /// build stranded); maintained incrementally by graft/prune/repair.
   std::size_t reached_subscribers = 0;
   std::uint64_t build_messages = 0;   // construction requests of the build wave
@@ -55,16 +66,35 @@ struct GroupTree {
   /// can no longer be replayed, so zone-guided grafts must rebuild.
   bool zones_stale = false;
 
+  [[nodiscard]] bool is_subscriber(PeerId p) const noexcept { return subscribers.contains(p); }
+  [[nodiscard]] std::size_t subscriber_count() const noexcept { return subscribers.size(); }
   [[nodiscard]] std::size_t relay_count() const noexcept {
     return tree.reached_count() - reached_subscribers;
   }
+  /// Marks the zones stale and frees them: no reader may consult a stale
+  /// zone, and nothing short of a rebuild clears the flag.
+  void stale_zones() {
+    zones_stale = true;
+    zones = {};
+  }
 };
 
-/// Builds the pruned construction for `subscribers` (indexed by peer id)
-/// rooted at `root`. Peers with `alive[p] == false` are skipped as
-/// delegates (churn); an empty `alive` means everyone is up. Throws on
-/// PickPolicy::kRandom — incremental maintenance requires the build to be
-/// a deterministic function of (graph, root, subscribers).
+/// Builds the pruned construction for the subscriber ids `subscribers`
+/// (strictly ascending, each alive) rooted at `root`. Peers with
+/// `alive[p] == false` are skipped as delegates (churn); an empty `alive`
+/// means everyone is up. Work and storage scale with the tree, not with
+/// the peer count. Throws on PickPolicy::kRandom — incremental maintenance
+/// requires the build to be a deterministic function of (graph, root,
+/// subscribers).
+[[nodiscard]] GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
+                                         const std::vector<PeerId>& subscribers,
+                                         const multicast::MulticastConfig& config = {},
+                                         const std::vector<bool>& alive = {});
+
+/// Mask adapter for callers that hold a per-peer subscriber mask (size n):
+/// collects the ids in ascending order and builds as above. It scans the
+/// mask once, so it is O(peers); GroupManager keeps member sets and calls
+/// the id overload.
 [[nodiscard]] GroupTree build_group_tree(const overlay::OverlayGraph& graph, PeerId root,
                                          const std::vector<bool>& subscribers,
                                          const multicast::MulticastConfig& config = {},

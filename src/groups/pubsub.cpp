@@ -1141,7 +1141,7 @@ void PubSubSystem::disseminate(PeerId self, PeerId from,
       replica_send(self, delivery.group, std::move(sync), false);
     }
   }
-  if (gt->is_subscriber[self]) {
+  if (gt->is_subscriber(self)) {
     for (const auto& [lo, hi] : *fresh) {
       if (end_to_end())
         window_observe(self, delivery, lo, hi);  // in-order release path
@@ -1193,7 +1193,7 @@ void PubSubSystem::disseminate_sharded(PeerId self, PeerId from,
       replica_send(self, delivery.group, std::move(sync), false);
     }
   }
-  if (gt->is_subscriber[self]) {
+  if (gt->is_subscriber(self)) {
     if (acked()) {
       const auto& fresh =
           fresh_runs(self, delivery.group, delivery.seq, delivery.seq_hi);
@@ -1832,7 +1832,7 @@ void PubSubSystem::on_heartbeat(PeerId self, const GroupHeartbeat& hb) {
   if (!hb_seen_[self].insert(hb.wave).second) return;
   const GroupTree* gt = hb.tree.get();
   if (gt == nullptr || !gt->tree.reached(self)) return;
-  if (gt->is_subscriber[self]) {
+  if (gt->is_subscriber(self)) {
     WindowState* wsp = find_window(self, hb.group);
     // No window state means this subscriber never consumed a wave — the
     // beacon owes a late joiner nothing (mark_through's no-op rule), but

@@ -5,55 +5,56 @@
 
 namespace geomcast::multicast {
 
+const std::vector<PeerId> MulticastTree::kNoChildren;
+
 MulticastTree::MulticastTree(std::size_t peer_count, PeerId root)
-    : root_(root),
-      parent_(peer_count, kInvalidPeer),
-      children_(peer_count),
-      reached_count_(1) {
+    : root_(root), peer_count_(peer_count) {
   if (root >= peer_count) throw std::invalid_argument("MulticastTree: root out of range");
+  nodes_.assign(root, Node{});
 }
 
 void MulticastTree::add_edge(PeerId parent, PeerId child) {
-  if (parent >= parent_.size() || child >= parent_.size())
+  if (parent >= peer_count_ || child >= peer_count_)
     throw std::invalid_argument("MulticastTree::add_edge: peer out of range");
   if (child == root_) throw std::logic_error("MulticastTree::add_edge: root cannot be a child");
-  if (parent_[child] != kInvalidPeer)
+  if (nodes_.contains(child))
     throw std::logic_error("MulticastTree::add_edge: child already attached");
-  if (!reached(parent))
+  if (!nodes_.contains(parent))
     throw std::logic_error("MulticastTree::add_edge: parent not reached yet");
-  parent_[child] = parent;
-  children_[parent].push_back(child);
-  ++reached_count_;
+  nodes_.assign(child, Node{parent, {}});
+  at(parent).children.push_back(child);  // after the insert: it may move nodes
+}
+
+void MulticastTree::unlink(PeerId child) {
+  auto& siblings = at(at(child).parent).children;
+  siblings.erase(std::remove(siblings.begin(), siblings.end(), child), siblings.end());
 }
 
 void MulticastTree::remove_leaf(PeerId leaf) {
-  if (leaf >= parent_.size())
+  if (leaf >= peer_count_)
     throw std::invalid_argument("MulticastTree::remove_leaf: peer out of range");
   if (leaf == root_) throw std::logic_error("MulticastTree::remove_leaf: cannot remove root");
-  if (parent_[leaf] == kInvalidPeer)
+  if (!nodes_.contains(leaf))
     throw std::logic_error("MulticastTree::remove_leaf: peer not attached");
-  if (!children_[leaf].empty())
+  if (!at(leaf).children.empty())
     throw std::logic_error("MulticastTree::remove_leaf: peer has children");
-  auto& siblings = children_[parent_[leaf]];
-  siblings.erase(std::remove(siblings.begin(), siblings.end(), leaf), siblings.end());
-  parent_[leaf] = kInvalidPeer;
-  --reached_count_;
+  unlink(leaf);
+  nodes_.erase(leaf);
 }
 
 void MulticastTree::reattach(PeerId child, PeerId new_parent) {
-  if (child >= parent_.size() || new_parent >= parent_.size())
+  if (child >= peer_count_ || new_parent >= peer_count_)
     throw std::invalid_argument("MulticastTree::reattach: peer out of range");
   if (child == root_) throw std::logic_error("MulticastTree::reattach: cannot move root");
-  if (parent_[child] == kInvalidPeer)
+  if (!nodes_.contains(child))
     throw std::logic_error("MulticastTree::reattach: child not attached");
-  if (!reached(new_parent))
+  if (!nodes_.contains(new_parent))
     throw std::logic_error("MulticastTree::reattach: new parent not reached");
   if (in_subtree(child, new_parent))
     throw std::logic_error("MulticastTree::reattach: new parent inside child's subtree");
-  auto& siblings = children_[parent_[child]];
-  siblings.erase(std::remove(siblings.begin(), siblings.end(), child), siblings.end());
-  parent_[child] = new_parent;
-  children_[new_parent].push_back(child);
+  unlink(child);
+  at(child).parent = new_parent;
+  at(new_parent).children.push_back(child);
 }
 
 bool MulticastTree::in_subtree(PeerId ancestor, PeerId descendant) const {
@@ -61,28 +62,29 @@ bool MulticastTree::in_subtree(PeerId ancestor, PeerId descendant) const {
   while (p != kInvalidPeer) {
     if (p == ancestor) return true;
     if (p == root_) return false;
-    p = parent_.at(p);
+    p = parent(p);
   }
   return false;
 }
 
 std::size_t MulticastTree::tree_degree(PeerId p) const {
-  if (!reached(p)) return 0;
-  return children_.at(p).size() + (p == root_ ? 0 : 1);
+  const Node* n = node(p);
+  if (n == nullptr) return 0;
+  return n->children.size() + (p == root_ ? 0 : 1);
 }
 
 std::vector<std::size_t> MulticastTree::depths() const {
-  std::vector<std::size_t> depth(parent_.size(), kUnreachedDepth);
+  std::vector<std::size_t> depth(peer_count_, kUnreachedDepth);
   if (root_ == kInvalidPeer) return depth;
   depth[root_] = 0;
-  // children_ edges always point from already-reached parents, so a BFS over
+  // Children edges always point from already-reached parents, so a BFS over
   // the children lists visits peers in non-decreasing depth.
   std::vector<PeerId> frontier{root_};
   std::vector<PeerId> next;
   while (!frontier.empty()) {
     next.clear();
     for (PeerId p : frontier) {
-      for (PeerId c : children_[p]) {
+      for (PeerId c : children(p)) {
         depth[c] = depth[p] + 1;
         next.push_back(c);
       }
@@ -101,14 +103,13 @@ std::size_t MulticastTree::max_root_to_leaf_path() const {
 
 std::size_t MulticastTree::max_tree_degree() const {
   std::size_t best = 0;
-  for (PeerId p = 0; p < parent_.size(); ++p)
-    best = std::max(best, tree_degree(p));
+  for (PeerId p : nodes()) best = std::max(best, tree_degree(p));
   return best;
 }
 
 std::size_t MulticastTree::max_children() const {
   std::size_t best = 0;
-  for (const auto& kids : children_) best = std::max(best, kids.size());
+  for (const Node& n : nodes_.values()) best = std::max(best, n.children.size());
   return best;
 }
 

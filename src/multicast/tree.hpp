@@ -1,12 +1,20 @@
 // The multicast tree produced by a construction run: parent/children links
 // over the peer set, plus the basic shape metrics the paper reports
 // (longest root-to-leaf path, per-peer tree degree).
+//
+// Storage is one node entry per reached peer, found through a peer->slot
+// hash index (overlay::PeerMap): a group tree spanning m of n peers costs
+// O(m) memory and O(m) to copy, and removing a leaf frees its entry.
+// Unreached peers have no entry; the accessors answer for them as if they
+// did (no parent, no children).
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "overlay/peer.hpp"
+#include "overlay/peer_map.hpp"
 
 namespace geomcast::multicast {
 
@@ -18,7 +26,7 @@ class MulticastTree {
   MulticastTree() = default;
   MulticastTree(std::size_t peer_count, PeerId root);
 
-  [[nodiscard]] std::size_t peer_count() const noexcept { return parent_.size(); }
+  [[nodiscard]] std::size_t peer_count() const noexcept { return peer_count_; }
   [[nodiscard]] PeerId root() const noexcept { return root_; }
 
   /// Links `child` under `parent`; both must be in range, `child` must not
@@ -26,9 +34,9 @@ class MulticastTree {
   /// is a protocol bug the validator reports separately).
   void add_edge(PeerId parent, PeerId child);
 
-  /// Detaches `leaf` (must be reached, childless, and not the root); its
-  /// slot returns to the unreached state. Used by the groups subsystem to
-  /// cascade relay-only branches away after an unsubscribe.
+  /// Detaches `leaf` (must be reached, childless, and not the root) and
+  /// frees its entry. Used by the groups subsystem to cascade relay-only
+  /// branches away after an unsubscribe.
   void remove_leaf(PeerId leaf);
 
   /// Moves `child` (with its whole subtree) under `new_parent`, which must
@@ -41,12 +49,22 @@ class MulticastTree {
   /// (every peer is in its own subtree). Walks parent links upward.
   [[nodiscard]] bool in_subtree(PeerId ancestor, PeerId descendant) const;
 
-  [[nodiscard]] bool reached(PeerId p) const { return p == root_ || parent_.at(p) != kInvalidPeer; }
-  [[nodiscard]] std::size_t reached_count() const noexcept { return reached_count_; }
-  [[nodiscard]] PeerId parent(PeerId p) const { return parent_.at(p); }
-  [[nodiscard]] const std::vector<PeerId>& children(PeerId p) const { return children_.at(p); }
+  // Peer-indexed accessors throw std::out_of_range past peer_count().
+  [[nodiscard]] bool reached(PeerId p) const { return node(p) != nullptr; }
+  [[nodiscard]] std::size_t reached_count() const noexcept { return nodes_.size(); }
+  /// kInvalidPeer for the root and for unreached peers.
+  [[nodiscard]] PeerId parent(PeerId p) const {
+    const Node* n = node(p);
+    return n != nullptr ? n->parent : kInvalidPeer;
+  }
+  [[nodiscard]] const std::vector<PeerId>& children(PeerId p) const {
+    const Node* n = node(p);
+    return n != nullptr ? n->children : kNoChildren;
+  }
+  /// The reached peers, one per stored entry (dense order, not ascending).
+  [[nodiscard]] const std::vector<PeerId>& nodes() const noexcept { return nodes_.keys(); }
   /// Number of tree edges (= messages sent by the space-partition scheme).
-  [[nodiscard]] std::size_t edge_count() const noexcept { return reached_count_ - 1; }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return nodes_.size() - 1; }
 
   /// Tree degree: children + 1 for the parent link (root has no parent).
   [[nodiscard]] std::size_t tree_degree(PeerId p) const;
@@ -64,10 +82,23 @@ class MulticastTree {
   [[nodiscard]] std::size_t max_children() const;
 
  private:
+  struct Node {
+    PeerId parent = kInvalidPeer;
+    std::vector<PeerId> children;
+  };
+  static const std::vector<PeerId> kNoChildren;
+
+  [[nodiscard]] const Node* node(PeerId p) const {
+    if (p >= peer_count_) throw std::out_of_range("MulticastTree: peer out of range");
+    return nodes_.find(p);
+  }
+  /// The node of `p`, which must be reached.
+  [[nodiscard]] Node& at(PeerId p) { return *nodes_.find(p); }
+  void unlink(PeerId child);
+
   PeerId root_ = kInvalidPeer;
-  std::vector<PeerId> parent_;
-  std::vector<std::vector<PeerId>> children_;
-  std::size_t reached_count_ = 0;
+  std::size_t peer_count_ = 0;
+  overlay::PeerMap<Node> nodes_;
 };
 
 }  // namespace geomcast::multicast

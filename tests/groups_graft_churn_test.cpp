@@ -55,6 +55,10 @@ struct RunOutcome {
   GroupStats stats;
   std::size_t inflight = 0;
   PeerId initial_root = kInvalidPeer;
+  /// The cached tree (if any) stores entries for exactly its reached peers
+  /// plus its stranded subscribers, and one zone per reached peer unless
+  /// the zones are stale.
+  bool storage_member_sized = true;
 };
 
 struct KillPlan {
@@ -103,6 +107,8 @@ RunOutcome run_once(const overlay::OverlayGraph& graph, std::uint64_t seed,
 
   outcome.stats = system.stats(kGroup);
   outcome.inflight = system.manager().inflight_graft_count();
+  if (const GroupTree* gt = system.manager().cached_tree(kGroup))
+    outcome.storage_member_sized = testutil::member_sized(*gt);
   if (member_out != nullptr) {
     member_out->assign(graph.size(), false);
     for (PeerId p = 0; p < graph.size(); ++p)
@@ -114,7 +120,7 @@ RunOutcome run_once(const overlay::OverlayGraph& graph, std::uint64_t seed,
     const GroupTree* gt = system.manager().cached_tree(kGroup);
     if (gt != nullptr)
       for (PeerId p = 0; p < graph.size(); ++p)
-        (*spanned_out)[p] = gt->is_subscriber[p] && gt->tree.reached(p);
+        (*spanned_out)[p] = gt->is_subscriber(p) && gt->tree.reached(p);
   }
   if (leaves_ok_out != nullptr) {
     // The "no half-attached edges" invariant: in a clean cached tree every
@@ -125,7 +131,7 @@ RunOutcome run_once(const overlay::OverlayGraph& graph, std::uint64_t seed,
     if (gt != nullptr)
       for (PeerId p = 0; p < graph.size(); ++p)
         if (p != gt->tree.root() && gt->tree.reached(p) &&
-            gt->tree.children(p).empty() && !gt->is_subscriber[p])
+            gt->tree.children(p).empty() && !gt->is_subscriber(p))
           *leaves_ok_out = false;
   }
   return outcome;
@@ -161,6 +167,8 @@ void assert_common_invariants(const RunOutcome& outcome,
       << scenario << " seed " << seed << ": leaked in-flight cursor state";
   EXPECT_TRUE(leaves_ok)
       << scenario << " seed " << seed << ": half-attached relay-only leaf";
+  EXPECT_TRUE(outcome.storage_member_sized)
+      << scenario << " seed " << seed << ": tree entries beyond reached peers + stranded";
   EXPECT_EQ(outcome.stats.stranded_subscribers, 0u) << scenario << " seed " << seed;
   // Liveness: the final wave (seq 1) reached exactly the surviving
   // registered members, each of them spanned by the (rebuilt) tree.

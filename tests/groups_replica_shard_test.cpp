@@ -131,6 +131,32 @@ TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
   }
 }
 
+TEST(GroupsReplicaShardTest, MoreThanSixtyFourReplicasKeepDistinctRoots) {
+  // Every slot-root election excludes every other slot's root, and the
+  // warm-failover replica excludes all of them, however many slots there
+  // are (a fixed 64-entry exclusion list once let slots past 64 share a
+  // peer with an earlier slot or with the replica).
+  const auto graph = make_overlay(160, 2, 1509);
+  constexpr std::uint32_t kReplicas = 80;
+  GroupConfig config;
+  config.root_replicas = kReplicas;
+  GroupManager manager(graph, config);
+  const auto expect_distinct = [&](GroupId g) {
+    std::set<PeerId> roots;
+    for (std::uint32_t s = 0; s < kReplicas; ++s) {
+      const PeerId root = manager.slot_root(g, s);
+      EXPECT_TRUE(manager.alive(root)) << "group " << g << " slot " << s;
+      roots.insert(root);
+    }
+    EXPECT_EQ(roots.size(), kReplicas) << "group " << g;
+    EXPECT_EQ(roots.count(manager.replica_candidate(g)), 0u) << "group " << g;
+  };
+  for (GroupId g = 0; g < 4; ++g) expect_distinct(g);
+  // Slot-root deaths past slot 64 re-elect against the full list too.
+  for (std::uint32_t s = 66; s < 74; ++s) (void)manager.handle_departure(manager.slot_root(0, s));
+  expect_distinct(0);
+}
+
 TEST(GroupsReplicaShardTest, DeliveredSetsMatchTheSingleRootOracleAcrossCells) {
   const auto graph = make_overlay(200, 2, 1502);
   const CellConfig cells[] = {

@@ -31,20 +31,20 @@ using testutil::make_overlay;
 using DeliveryKey = std::tuple<PeerId, GroupId, std::uint64_t>;
 
 /// Canonical form of a group tree for bit-identical comparison: the sorted
-/// (parent, child) edge set plus the delivery-flag mask.
+/// (parent, child) edge set plus the sorted delivery-flag set.
 struct TreeShape {
   std::vector<std::pair<PeerId, PeerId>> edges;
-  std::vector<bool> is_subscriber;
+  std::vector<PeerId> subscribers;
   bool operator==(const TreeShape&) const = default;
 };
 
 TreeShape shape_of(const GroupTree& gt) {
   TreeShape shape;
-  for (PeerId p = 0; p < gt.is_subscriber.size(); ++p)
+  for (PeerId p = 0; p < gt.tree.peer_count(); ++p)
     if (p != gt.tree.root() && gt.tree.reached(p))
       shape.edges.emplace_back(gt.tree.parent(p), p);
   std::sort(shape.edges.begin(), shape.edges.end());
-  shape.is_subscriber = gt.is_subscriber;
+  shape.subscribers = gt.subscribers.sorted();
   return shape;
 }
 
@@ -225,11 +225,11 @@ TEST(RoutedGraftTest, ConvergesUnderLoss) {
       // member must be spanned with its delivery flag set.
       const GroupTree* gt = system.manager().tree(g);
       ASSERT_NE(gt, nullptr) << "seed " << seed << " group " << g;
-      EXPECT_EQ(gt->subscriber_count, gt->reached_subscribers)
+      EXPECT_EQ(gt->subscriber_count(), gt->reached_subscribers)
           << "seed " << seed << " group " << g;
       for (PeerId p = 0; p < graph.size(); ++p)
         if (system.manager().is_subscribed(g, p))
-          EXPECT_TRUE(gt->is_subscriber[p] && gt->tree.reached(p))
+          EXPECT_TRUE(gt->is_subscriber(p) && gt->tree.reached(p))
               << "seed " << seed << " group " << g << " peer " << p;
     }
     const auto net = system.simulator().stats();
@@ -282,7 +282,7 @@ TEST(RoutedGraftTest, UnsubscribeResubscribeRacingInFlightAcceptRebuilds) {
   EXPECT_EQ(manager.inflight_graft_count(), 0u);
   const GroupTree* gt = manager.tree(g);  // the deferred rebuild
   ASSERT_NE(gt, nullptr);
-  EXPECT_TRUE(gt->is_subscriber[late] && gt->tree.reached(late))
+  EXPECT_TRUE(gt->is_subscriber(late) && gt->tree.reached(late))
       << "re-subscribed member left unspanned by a clean cache";
 }
 
@@ -314,7 +314,7 @@ TEST(RoutedGraftTest, ResubscribeIsIdempotentWithConcurrentDescent) {
   EXPECT_EQ(system.manager().inflight_graft_count(), 0u);
   const GroupTree* gt = system.manager().cached_tree(g);
   ASSERT_NE(gt, nullptr);
-  EXPECT_TRUE(gt->is_subscriber[late] && gt->tree.reached(late));
+  EXPECT_TRUE(gt->is_subscriber(late) && gt->tree.reached(late));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // glob) stay one-source each.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -70,6 +71,29 @@ inline PeerId find_leaf_subscriber(const overlay::OverlayGraph& graph, GroupId g
   for (const PeerId p : members)
     if (p != exclude && gt->tree.reached(p) && gt->tree.children(p).empty()) return p;
   return kInvalidPeer;
+}
+
+/// Every peer `gt` stores an entry for (tree node, zone or delivery flag),
+/// ascending.
+inline std::vector<PeerId> stored_peers(const GroupTree& gt) {
+  std::vector<PeerId> peers = gt.tree.nodes();
+  for (const PeerId s : gt.subscribers.keys())
+    if (!gt.tree.reached(s)) peers.push_back(s);
+  for (const PeerId p : gt.zones.keys())
+    if (!gt.tree.reached(p)) peers.push_back(p);
+  std::sort(peers.begin(), peers.end());
+  return peers;
+}
+
+/// The member-sized storage invariant: `gt` holds entries for exactly its
+/// reached peers plus its stranded subscribers, and one zone per reached
+/// peer until the zones go stale (then none).
+inline bool member_sized(const GroupTree& gt) {
+  std::vector<PeerId> expected;
+  for (PeerId p = 0; p < gt.tree.peer_count(); ++p)
+    if (gt.tree.reached(p) || gt.is_subscriber(p)) expected.push_back(p);
+  return stored_peers(gt) == expected &&
+         gt.zones.size() == (gt.zones_stale ? 0 : gt.tree.reached_count());
 }
 
 /// One application-level delivery as the probe reports it.
