@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <any>
 #include <map>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -151,104 +152,142 @@ BENCHMARK(BM_EventQueueCancelChurn)->Arg(2)->Arg(8)->Arg(64);
 
 // ------------------------------------------------------- simulator core ----
 
-// Raw-callback dispatch through the two queue backends: the heap oracle
-// vs the hierarchical timer wheel, on the near-horizon schedule-then-pop
-// cycle the simulator hot loop runs per envelope. Arg 0 = kHeap,
-// 1 = kWheel. CI gates events/sec on these (BM_SimCore*): a wheel
-// regression that the bit-identical battery can't see shows up here.
+// The baseline the BM_SimCore* cells measure the timer wheel against: a
+// binary heap (std::push_heap / std::pop_heap) over the same 16-byte
+// (when, id) entries, with the same bookkeeping sim::EventQueue does
+// around its rungs — the past-time and null-callback checks, a dense
+// id-indexed slot table with a sliding base and periodic prefix trim, and
+// the liveness test a lazily cancelling queue runs on its top entry. Only
+// the rung structure differs, so the ratio prices the wheel itself.
+class HeapQueue {
+ public:
+  void schedule(double when, sim::RawFn fn, void* ctx, std::uint64_t arg) {
+    if (when < last_popped_) throw std::invalid_argument("HeapQueue: time is in the past");
+    if (fn == nullptr) throw std::invalid_argument("HeapQueue: null callback");
+    heap_.push_back(Entry{when, base_ + slots_.size()});
+    slots_.push_back(Slot{fn, ctx, arg});
+    ++live_;
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  bool run_next() {
+    while (!heap_.empty() && !live(heap_.front().id)) pop();
+    if (heap_.empty()) return false;
+    const Entry entry = pop();
+    const Slot slot = slots_[entry.id - base_];
+    slots_[entry.id - base_].fn = nullptr;
+    --live_;
+    last_popped_ = entry.when;
+    if ((++pops_ & 0x3FFF) == 0) trim();
+    slot.fn(slot.ctx, slot.arg);
+    return true;
+  }
+  [[nodiscard]] std::size_t pending() const { return live_; }
+
+ private:
+  struct Entry {
+    double when;
+    std::uint64_t id;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
+      if (a.when != b.when) return a.when > b.when;
+      return a.id > b.id;
+    }
+  };
+  struct Slot {
+    sim::RawFn fn;
+    void* ctx;
+    std::uint64_t arg;
+  };
+  [[nodiscard]] bool live(std::uint64_t id) const {
+    return id >= base_ && id - base_ < slots_.size() && slots_[id - base_].fn != nullptr;
+  }
+  Entry pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Entry entry = heap_.back();
+    heap_.pop_back();
+    return entry;
+  }
+  void trim() {
+    std::size_t lead = 0;
+    while (lead < slots_.size() && slots_[lead].fn == nullptr) ++lead;
+    if (lead >= 4096 && lead >= slots_.size() / 2) {
+      slots_.erase(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(lead));
+      base_ += lead;
+    }
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::uint64_t base_ = 1;
+  std::size_t live_ = 0;
+  std::uint64_t pops_ = 0;
+  double last_popped_ = 0.0;
+};
+
+void count_event(void* ctx, std::uint64_t arg) { *static_cast<std::uint64_t*>(ctx) += arg; }
+
+// Raw-callback dispatch on the near-horizon schedule-then-pop cycle the
+// simulator hot loop runs per envelope: 64 rounds of 1024 events over a
+// ~0.1s horizon each — dense occupancy, the regime the 1000-peer cells run
+// the wheel in. Arg 0 = HeapQueue baseline, 1 = sim::EventQueue. CI gates
+// the wheel's events/sec ratio over the baseline.
+template <typename Queue>
+void run_dispatch_rounds(Queue& queue, std::uint64_t& fired) {
+  for (int round = 0; round < 64; ++round) {
+    const double base = 0.1 * round;
+    for (int i = 0; i < 1024; ++i)
+      queue.schedule(base + 0.0001 * (i % 1000), &count_event, &fired, 1);
+    while (queue.pending() > 0) queue.run_next();
+  }
+}
+
 void BM_SimCoreQueueDispatch(benchmark::State& state) {
-  const auto backend =
-      state.range(0) == 0 ? sim::QueueBackend::kHeap : sim::QueueBackend::kWheel;
-  constexpr int kBatch = 1024;
   for (auto _ : state) {
-    sim::EventQueue queue(backend);
     std::uint64_t fired = 0;
-    // 64 rounds of 1024 events over a ~0.1s horizon each: dense
-    // occupancy, the regime the 1000-peer gate cell runs the wheel in.
-    for (int round = 0; round < 64; ++round) {
-      const double base = 0.1 * round;
-      for (int i = 0; i < kBatch; ++i)
-        queue.schedule(
-            base + 0.0001 * (i % 1000),
-            [](void* ctx, std::uint64_t arg) {
-              *static_cast<std::uint64_t*>(ctx) += arg;
-            },
-            &fired, 1);
-      while (queue.pending() > 0) queue.run_next();
+    if (state.range(0) == 0) {
+      HeapQueue queue;
+      run_dispatch_rounds(queue, fired);
+    } else {
+      sim::EventQueue queue;
+      run_dispatch_rounds(queue, fired);
     }
     benchmark::DoNotOptimize(fired);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 * kBatch);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 * 1024);
 }
 BENCHMARK(BM_SimCoreQueueDispatch)->Arg(0)->Arg(1);
 
 // The sparse regime that historically regressed the wheel: few events
 // spread over a long horizon, so most rung buckets are empty and a naive
 // pop walks thousands of dead buckets per event. The per-rung occupancy
-// bitmaps turn that walk into a ctz hop; CI gates wheel >= 1.0x heap here
-// (BM_SimCoreQueueSparseHorizon) so the dense-dispatch win can never be
-// bought back with a sparse regression. 8192 events over a ~800s horizon,
-// scheduled far ahead so every ring level is exercised.
+// bitmaps turn that walk into a ctz hop; CI gates wheel >= 1.0x the heap
+// baseline here so the dense-dispatch win can never be bought back with a
+// sparse regression. 8192 events over a ~800s horizon, scheduled far ahead
+// so every ring level is exercised. Args as BM_SimCoreQueueDispatch.
+template <typename Queue>
+void run_sparse_horizon(Queue& queue, std::uint64_t& fired) {
+  util::Rng rng(97);
+  for (int i = 0; i < 8192; ++i)
+    queue.schedule(rng.uniform(0.0, 800.0), &count_event, &fired, 1);
+  while (queue.pending() > 0) queue.run_next();
+}
+
 void BM_SimCoreQueueSparseHorizon(benchmark::State& state) {
-  const auto backend =
-      state.range(0) == 0 ? sim::QueueBackend::kHeap : sim::QueueBackend::kWheel;
-  constexpr int kEvents = 8192;
   for (auto _ : state) {
-    sim::EventQueue queue(backend);
     std::uint64_t fired = 0;
-    util::Rng rng(97);
-    for (int i = 0; i < kEvents; ++i)
-      queue.schedule(
-          rng.uniform(0.0, 800.0),
-          [](void* ctx, std::uint64_t arg) {
-            *static_cast<std::uint64_t*>(ctx) += arg;
-          },
-          &fired, 1);
-    while (queue.pending() > 0) queue.run_next();
+    if (state.range(0) == 0) {
+      HeapQueue queue;
+      run_sparse_horizon(queue, fired);
+    } else {
+      sim::EventQueue queue;
+      run_sparse_horizon(queue, fired);
+    }
     benchmark::DoNotOptimize(fired);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kEvents);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8192);
 }
 BENCHMARK(BM_SimCoreQueueSparseHorizon)->Arg(0)->Arg(1);
-
-// The end-to-end per-event cost of the pub/sub simulation core: one
-// PubSubSystem per iteration running a QoS 1 batched publish workload on a
-// prebuilt overlay, with the pool reset (release_pools) exercised between
-// iterations exactly as the bench driver resets between cells. Arg 0 =
-// heap/set oracle core, 1 = sim_core fast path; items = simulator events,
-// so items/sec IS the events/sec figure BENCH_simcore.json reports.
-void BM_SimCoreWaveDelivery(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
-  constexpr std::size_t kPeers = 300;
-  constexpr groups::GroupId kGroups = 4;
-  const auto points = make_points(kPeers, 2);
-  const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-  std::int64_t events = 0;
-  for (auto _ : state) {
-    groups::PubSubConfig config;
-    config.seed = 42;
-    config.reliability.qos = multicast::QoS::kAcked;
-    config.batch_window = 0.1;
-    config.sim_core = fast;
-    groups::PubSubSystem system(graph, config);
-    util::Rng rng(42);
-    for (groups::GroupId g = 0; g < kGroups; ++g) {
-      const overlay::PeerId root = system.manager().root_of(g);
-      for (std::size_t picked = 0; picked < 16;) {
-        const auto p = static_cast<overlay::PeerId>(rng.next_below(kPeers));
-        if (p == root) continue;
-        system.subscribe_at(rng.uniform(0.0, 1.0), p, g);
-        ++picked;
-      }
-      for (std::size_t i = 0; i < 24; ++i)
-        system.publish_at(rng.uniform(2.0, 5.0), root, g);
-    }
-    events += static_cast<std::int64_t>(system.run());
-    system.release_pools();
-  }
-  state.SetItemsProcessed(events);
-}
-BENCHMARK(BM_SimCoreWaveDelivery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------- batched publish plane ----
 
@@ -391,19 +430,16 @@ void BM_GroupTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupTreeBuild)->Arg(10000)->Arg(100000);
 
-// Routed vs local graft, end to end on the simulated network: 16 early
-// subscribers build the tree, 16 late ones graft into it — arg 1 drives
-// every descent with routed QoS 1 envelopes, arg 0 runs the root-local
-// oracle. The delta is the full distribution overhead of the control
-// plane (envelopes, acks, timers), the regression this guard watches.
-void BM_RoutedVsLocalGraft(benchmark::State& state) {
-  const bool routed = state.range(0) != 0;
+// Routed graft, end to end on the simulated network: 16 early subscribers
+// build the tree, 16 late ones graft into it, every descent step a routed
+// QoS 1 envelope — the full distribution cost of the control plane
+// (envelopes, acks, timers), the regression this guard watches.
+void BM_RoutedGraft(benchmark::State& state) {
   const auto points = make_points(64, 3);
   const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
   for (auto _ : state) {
     groups::PubSubConfig config;
     config.reliability.qos = multicast::QoS::kAcked;
-    config.routed_graft = routed;
     groups::PubSubSystem system(graph, config);
     for (overlay::PeerId p = 1; p < 17; ++p)
       system.subscribe_at(0.001 * static_cast<double>(p), p, /*group=*/0);
@@ -415,7 +451,7 @@ void BM_RoutedVsLocalGraft(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }
-BENCHMARK(BM_RoutedVsLocalGraft)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RoutedGraft)->Unit(benchmark::kMillisecond);
 
 // Root coalescing flush, end to end: a publish burst lands at the root,
 // buffers, and flushes as one range wave down a real 64-peer group tree

@@ -65,9 +65,9 @@
 // Graft cost (ISSUE 5): --graft-cost prices the distributed control plane
 // on a graft-heavy workload (half the members subscribe AFTER the warm
 // publish, so every one of them is a zone-descent graft against the clean
-// cached tree). Per pinned seed it runs the local-descent oracle and the
-// routed descent at zero loss — gating on bit-identical delivered
-// (peer, group, seq) sets and tree edge sets — plus a routed cell at 5%
+// cached tree). Per pinned seed it runs the routed descent at zero loss —
+// gating on every group's final tree edge set and delivery flags equalling
+// a fresh build_group_tree over the final membership — plus a cell at 5%
 // loss with mid-graft kills, gating on every surviving registered member
 // ending up spanned (graft_aborts each resolved by abort-and-resubscribe
 // plus rebuild+rescue). The table reports control_envelopes, graft hops,
@@ -112,11 +112,9 @@
 #include <optional>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <tuple>
 #include <vector>
 
-#include "geometry/distance.hpp"
 #include "geometry/random_points.hpp"
 #include "groups/failure_injection.hpp"
 #include "groups/pubsub.hpp"
@@ -124,7 +122,6 @@
 #include "obs/trace.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
-#include "overlay/grid_knn.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -154,16 +151,6 @@ struct ScenarioParams {
   double publisher_batch_window = 0.0;
   /// Same-instant graft descent steps sharing a hop ride one carrier.
   bool graft_prefix_batch = false;
-  /// Simulator-core fast path (timer wheel + interval dedup); false runs
-  /// the historic heap/set oracle. Only --simcore mode flips this.
-  bool sim_core = true;
-  /// Membership drawn from each root's neighbourhood instead of uniformly.
-  /// Corridor-greedy control routing is only guaranteed on the
-  /// full-knowledge empty-rect equilibrium; on a grid-kNN local-knowledge
-  /// overlay a distant target strands, so the 100k sweep cell keeps its
-  /// control traffic inside each root's neighbourhood (tree dissemination
-  /// is direct sends and is unaffected).
-  bool local_members = false;
   std::uint64_t seed = 42;
 };
 
@@ -216,10 +203,9 @@ ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
   config.groups.retention_window = params.retention_window;
   config.batch_window = params.batch_window;
   config.max_batch = params.max_batch;
-  config.root_replicas = params.root_replicas;
+  config.groups.root_replicas = params.root_replicas;
   config.publisher_batch_window = params.publisher_batch_window;
   config.graft_prefix_batch = params.graft_prefix_batch;
-  config.sim_core = params.sim_core;
   groups::PubSubSystem system(graph, config);
   if (trace_sink != nullptr) system.set_trace_sink(trace_sink);
   // The sampler's ticks are simulator events, so a sampled run's
@@ -256,36 +242,14 @@ ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
   // Membership: M distinct non-root subscribers per group, waves in (0, 1).
   util::Rng rng(params.seed ^ 0x736368656475ULL);  // schedule stream
   std::vector<std::vector<overlay::PeerId>> members(params.group_count);
-  if (params.local_members) {
-    // The M non-root peers nearest each group's rendezvous root, ties by
-    // id — deterministic, and every subscribe/publish request routes a
-    // handful of neighbourhood hops (see the knob comment above).
-    std::vector<std::pair<double, overlay::PeerId>> by_dist;
-    for (std::size_t g = 0; g < params.group_count; ++g) {
-      const overlay::PeerId root = system.manager().root_of(g);
-      by_dist.clear();
-      for (overlay::PeerId p = 0; p < peers; ++p)
-        if (!is_root[p])
-          by_dist.emplace_back(
-              geometry::l2_distance_sq(graph.point(p), graph.point(root)), p);
-      std::partial_sort(by_dist.begin(),
-                        by_dist.begin() + static_cast<std::ptrdiff_t>(params.subscribers),
-                        by_dist.end());
-      for (std::size_t i = 0; i < params.subscribers; ++i) {
-        members[g].push_back(by_dist[i].second);
-        system.subscribe_at(rng.uniform(0.0, 1.0), by_dist[i].second, g);
-      }
-    }
-  } else {
-    for (std::size_t g = 0; g < params.group_count; ++g) {
-      std::vector<bool> chosen(peers, false);
-      while (members[g].size() < params.subscribers) {
-        const auto p = static_cast<overlay::PeerId>(rng.next_below(peers));
-        if (chosen[p] || is_root[p]) continue;
-        chosen[p] = true;
-        members[g].push_back(p);
-        system.subscribe_at(rng.uniform(0.0, 1.0), p, g);
-      }
+  for (std::size_t g = 0; g < params.group_count; ++g) {
+    std::vector<bool> chosen(peers, false);
+    while (members[g].size() < params.subscribers) {
+      const auto p = static_cast<overlay::PeerId>(rng.next_below(peers));
+      if (chosen[p] || is_root[p]) continue;
+      chosen[p] = true;
+      members[g].push_back(p);
+      system.subscribe_at(rng.uniform(0.0, 1.0), p, g);
     }
   }
 
@@ -621,15 +585,15 @@ int run_batch_compare(const overlay::OverlayGraph& graph, ScenarioParams params,
 
 // ------------------------------------------------------------ graft cost ----
 
-/// One (mode, loss, kills) cell of the graft-cost compare.
+/// One (loss, kills) cell of the graft-cost harness.
 struct GraftCell {
   groups::GroupStats total;
   sim::NetworkStats net;
-  std::set<DeliveryKey> delivered;
-  /// Sorted (parent, child) edge set per group — the bit-identical gate's
-  /// subject. Collected from the post-run cached trees (zero-loss cells
-  /// end with every cache clean in both modes).
-  std::vector<std::vector<std::pair<overlay::PeerId, overlay::PeerId>>> trees;
+  /// Every group's post-run cached tree has the edge set and delivery
+  /// flags of a fresh build over its final membership. Checked only in
+  /// lossless, kill-free cells (false elsewhere), which end with every
+  /// cache clean.
+  bool fresh_build_ok = false;
   bool attached_ok = true;  // every surviving registered member spanned
   std::size_t inflight = 0;
   double run_secs = 0.0;
@@ -644,23 +608,18 @@ struct GraftCell {
 /// The graft-heavy workload: the late half of every group's membership
 /// subscribes AFTER the warm publish built the tree, so each one exercises
 /// the zone descent; `kills` mid-graft departures land inside the late-
-/// subscribe window. Deterministic per (params.seed, routed, loss, kills).
+/// subscribe window. Deterministic per (params.seed, loss, kills).
 GraftCell run_graft_scenario(const overlay::OverlayGraph& graph,
-                             const ScenarioParams& params, bool routed, double loss,
+                             const ScenarioParams& params, double loss,
                              std::size_t kills) {
   groups::PubSubConfig config;
   config.seed = params.seed;
-  config.routed_graft = routed;
   config.loss.drop_probability = loss;
   config.reliability.qos = multicast::QoS::kAcked;
   config.reliability.ack_timeout = params.ack_timeout;
   config.reliability.max_retries = params.max_retries;
   groups::PubSubSystem system(graph, config);
   GraftCell cell;
-  system.set_delivery_probe([&cell](overlay::PeerId peer, groups::GroupId group,
-                                    std::uint64_t seq, double) {
-    cell.delivered.emplace(peer, group, seq);
-  });
 
   const std::size_t peers = graph.size();
   std::vector<bool> is_root(peers, false);
@@ -707,15 +666,21 @@ GraftCell run_graft_scenario(const overlay::OverlayGraph& graph,
   cell.total = system.total_stats();
   cell.net = system.simulator().stats();
   cell.inflight = system.manager().inflight_graft_count();
-  for (std::size_t g = 0; g < params.group_count; ++g) {
-    std::vector<std::pair<overlay::PeerId, overlay::PeerId>> edges;
-    if (const groups::GroupTree* gt = system.manager().cached_tree(g)) {
-      for (overlay::PeerId p = 0; p < peers; ++p)
-        if (p != gt->tree.root() && gt->tree.reached(p))
-          edges.emplace_back(gt->tree.parent(p), p);
+  if (loss == 0.0 && kills == 0) {
+    const auto shape = [](const groups::GroupTree& gt) {
+      std::vector<std::pair<overlay::PeerId, overlay::PeerId>> edges;
+      for (const overlay::PeerId p : gt.tree.nodes())
+        if (p != gt.tree.root()) edges.emplace_back(gt.tree.parent(p), p);
       std::sort(edges.begin(), edges.end());
+      return std::make_pair(edges, gt.subscribers.sorted());
+    };
+    cell.fresh_build_ok = true;
+    for (std::size_t g = 0; g < params.group_count; ++g) {
+      const groups::GroupTree* gt = system.manager().cached_tree(g);
+      const auto fresh = groups::build_group_tree(graph, system.manager().root_of(g),
+                                                  system.manager().subscribers_of(g));
+      cell.fresh_build_ok = cell.fresh_build_ok && gt != nullptr && shape(*gt) == shape(fresh);
     }
-    cell.trees.push_back(std::move(edges));
   }
   // The attach gate reads REFRESHED trees (an abort defers the subscriber
   // to the next rebuild; tree() performs it) — run after the stats grab so
@@ -732,7 +697,7 @@ GraftCell run_graft_scenario(const overlay::OverlayGraph& graph,
 }
 
 std::string graft_cell_json(const char* mode, double loss, std::size_t kills,
-                            const GraftCell& cell, bool identical_ok) {
+                            const GraftCell& cell) {
   std::ostringstream o;
   o.precision(10);
   o << "{\"mode\":\"" << mode << "\",\"loss\":" << loss << ",\"kills\":" << kills
@@ -748,7 +713,7 @@ std::string graft_cell_json(const char* mode, double loss, std::size_t kills,
     << ",\"control_envelopes\":" << cell.net.control_envelopes
     << ",\"net_graft_hops\":" << cell.net.graft_hops
     << ",\"delivery_ratio\":" << cell.total.delivery_ratio()
-    << ",\"identical_to_local\":" << (identical_ok ? "true" : "false")
+    << ",\"matches_fresh_build\":" << (cell.fresh_build_ok ? "true" : "false")
     << ",\"attached_ok\":" << (cell.attached_ok ? "true" : "false")
     << ",\"inflight_leaked\":" << cell.inflight
     << ",\"run_secs\":" << cell.run_secs
@@ -758,18 +723,18 @@ std::string graft_cell_json(const char* mode, double loss, std::size_t kills,
   return o.str();
 }
 
-/// The ISSUE 5 acceptance harness: per pinned seed (three of them), the
-/// local-descent oracle vs the routed descent at zero loss — delivered
-/// sets and tree edge sets must be bit-identical, with every routed hop
-/// visible in NetworkStats — plus a routed churn cell (5% loss, mid-graft
-/// kills) that must leave every surviving registered member attached.
+/// The graft-cost harness: per pinned seed (three of them), the routed
+/// descent at zero loss — every final tree must equal a fresh build over
+/// its membership, with every routed hop visible in NetworkStats — plus a
+/// churn cell (5% loss, mid-graft kills) that must leave every surviving
+/// registered member attached.
 int run_graft_cost(ScenarioParams params, std::size_t dims, bool csv,
                    const std::string& json_path) {
   util::Table table({"seed", "mode", "loss", "kills", "subscribes", "grafts",
                      "graft_msgs", "graft_hops", "hops_per_graft", "retries",
                      "aborts", "resubs", "rescues", "control_env",
-                     "delivery_ratio", "identical", "attached", "run_secs"});
-  bool identical_ok = true, visible_ok = true, attached_ok = true, leak_ok = true;
+                     "delivery_ratio", "fresh_build", "attached", "run_secs"});
+  bool fresh_ok = true, visible_ok = true, attached_ok = true, leak_ok = true;
   std::ostringstream seeds_json;
   const std::size_t churn_kills = std::max<std::size_t>(params.departures / 4, 2);
   for (std::uint64_t seed = params.seed; seed < params.seed + 3; ++seed) {
@@ -779,22 +744,15 @@ int run_graft_cost(ScenarioParams params, std::size_t dims, bool csv,
     const auto points = geometry::random_points(rng, params.peers, dims, 100.0);
     const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
 
-    const auto local = run_graft_scenario(graph, cell_params, /*routed=*/false, 0.0, 0);
-    const auto routed = run_graft_scenario(graph, cell_params, /*routed=*/true, 0.0, 0);
-    const auto churn =
-        run_graft_scenario(graph, cell_params, /*routed=*/true, 0.05, churn_kills);
+    const auto routed = run_graft_scenario(graph, cell_params, 0.0, 0);
+    const auto churn = run_graft_scenario(graph, cell_params, 0.05, churn_kills);
 
-    const bool cell_identical =
-        routed.delivered == local.delivered && routed.trees == local.trees &&
-        routed.total.grafts == local.total.grafts &&
-        routed.total.graft_messages == local.total.graft_messages;
-    identical_ok = identical_ok && cell_identical && local.total.grafts > 0;
+    fresh_ok = fresh_ok && routed.fresh_build_ok && routed.total.grafts > 0;
     visible_ok = visible_ok && routed.total.graft_hops > 0 &&
                  routed.net.control_envelopes > 0 &&
                  routed.net.graft_hops == routed.total.graft_hops &&
                  churn.net.control_envelopes > 0;
-    attached_ok = attached_ok && local.attached_ok && routed.attached_ok &&
-                  churn.attached_ok;
+    attached_ok = attached_ok && routed.attached_ok && churn.attached_ok;
     leak_ok = leak_ok && routed.inflight == 0 && churn.inflight == 0;
 
     const struct {
@@ -802,10 +760,8 @@ int run_graft_cost(ScenarioParams params, std::size_t dims, bool csv,
       const GraftCell* cell;
       double loss;
       std::size_t kills;
-      bool identical;
-    } rows[] = {{"local", &local, 0.0, 0, true},
-                {"routed", &routed, 0.0, 0, cell_identical},
-                {"routed+churn", &churn, 0.05, churn_kills, false}};
+    } rows[] = {{"routed", &routed, 0.0, 0},
+                {"routed+churn", &churn, 0.05, churn_kills}};
     for (const auto& row : rows) {
       table.begin_row()
           .add_number(static_cast<double>(seed), 0)
@@ -823,26 +779,23 @@ int run_graft_cost(ScenarioParams params, std::size_t dims, bool csv,
           .add_number(static_cast<double>(row.cell->total.stranded_rescues), 0)
           .add_number(static_cast<double>(row.cell->net.control_envelopes), 0)
           .add_number(row.cell->total.delivery_ratio(), 5)
-          .add_number(row.identical ? 1 : 0, 0)
+          .add_number(row.cell->fresh_build_ok ? 1 : 0, 0)
           .add_number(row.cell->attached_ok ? 1 : 0, 0)
           .add_number(row.cell->run_secs, 3);
     }
     if (seeds_json.tellp() > 0) seeds_json << ",";
     seeds_json << "\n    {\"seed\":" << seed << ",\"cells\":["
-               << "\n      " << graft_cell_json("local", 0.0, 0, local, true) << ","
-               << "\n      " << graft_cell_json("routed", 0.0, 0, routed, cell_identical)
-               << ","
-               << "\n      "
-               << graft_cell_json("routed+churn", 0.05, churn_kills, churn, false)
+               << "\n      " << graft_cell_json("routed", 0.0, 0, routed) << ","
+               << "\n      " << graft_cell_json("routed+churn", 0.05, churn_kills, churn)
                << "\n    ]}";
   }
-  const bool all_ok = identical_ok && visible_ok && attached_ok && leak_ok;
+  const bool all_ok = fresh_ok && visible_ok && attached_ok && leak_ok;
   if (!json_path.empty()) {
     std::ostringstream json;
     json << "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": \"graft_cost\",\n"
          << "  \"params\": " << params_json(params) << ",\n  \"seeds\": ["
-         << seeds_json.str() << "\n  ],\n  \"gate_identical\": "
-         << (identical_ok ? "true" : "false")
+         << seeds_json.str() << "\n  ],\n  \"gate_fresh_build\": "
+         << (fresh_ok ? "true" : "false")
          << ",\n  \"gate_cost_visible\": " << (visible_ok ? "true" : "false")
          << ",\n  \"gate_all_attached\": " << (attached_ok ? "true" : "false")
          << ",\n  \"gate_no_leaked_cursors\": " << (leak_ok ? "true" : "false")
@@ -852,18 +805,18 @@ int run_graft_cost(ScenarioParams params, std::size_t dims, bool csv,
   if (csv) {
     table.print_csv(std::cout);
     if (!all_ok)
-      std::cerr << "pubsub_throughput: graft-cost gate failed (identical="
-                << identical_ok << ", visible=" << visible_ok << ", attached="
+      std::cerr << "pubsub_throughput: graft-cost gate failed (fresh_build="
+                << fresh_ok << ", visible=" << visible_ok << ", attached="
                 << attached_ok << ", leaks=" << !leak_ok << ")\n";
   } else {
-    std::cout << "=== graft cost: routed vs local descent, " << params.group_count
+    std::cout << "=== graft cost: routed descent, " << params.group_count
               << " groups x " << params.subscribers << " subscribers on "
               << params.peers << " peers, late half grafted, seeds "
               << params.seed << ".." << params.seed + 2 << " ===\n\n";
     table.print(std::cout);
-    std::cout << "\nacceptance: routed graft bit-identical to local oracle at zero"
-                 " loss (trees + delivered sets): "
-              << (identical_ok ? "PASS" : "FAIL")
+    std::cout << "\nacceptance: final trees equal a fresh build over the membership"
+                 " at zero loss: "
+              << (fresh_ok ? "PASS" : "FAIL")
               << "\nacceptance: graft cost visible in NetworkStats"
                  " (control_envelopes, graft_hops): "
               << (visible_ok ? "PASS" : "FAIL")
@@ -1291,173 +1244,6 @@ int run_root_kill(ScenarioParams params, std::size_t dims, bool csv,
   return all_ok ? 0 : 2;
 }
 
-// ------------------------------------------------------------- sim core ----
-
-/// Deterministic slice of a run — everything that must be bit-identical
-/// across the sim_core knob. run_secs and events/sec are measurement, not
-/// behaviour, so they live outside this string.
-std::string core_stats_json(const ScenarioOutcome& r) {
-  std::string json = obs::to_json(r.total);
-  json += '\n';
-  json += obs::to_json(r.net);
-  return json;
-}
-
-struct SimCoreCell {
-  std::string name;
-  std::size_t peers = 0;
-  double overlay_secs = 0.0;
-  ScenarioOutcome fast;
-  ScenarioOutcome oracle;
-  bool delivered_identical = false;
-  bool stats_identical = false;
-  bool events_identical = false;
-
-  [[nodiscard]] bool identical() const {
-    return delivered_identical && stats_identical && events_identical;
-  }
-  [[nodiscard]] static double events_per_sec(const ScenarioOutcome& r) {
-    return r.run_secs > 0.0 ? static_cast<double>(r.events) / r.run_secs : 0.0;
-  }
-};
-
-/// Runs one workload cell with sim_core on and off on the same overlay and
-/// checks the fast path is bit-passive: identical delivered
-/// (peer, group, seq) sets, byte-identical counter JSON, equal event count.
-SimCoreCell run_simcore_cell(const std::string& name,
-                             const overlay::OverlayGraph& graph,
-                             ScenarioParams params, multicast::QoS qos, double loss,
-                             double overlay_secs) {
-  SimCoreCell cell;
-  cell.name = name;
-  cell.peers = graph.size();
-  cell.overlay_secs = overlay_secs;
-  std::set<DeliveryKey> fast_set, oracle_set;
-  params.sim_core = true;
-  cell.fast = run_scenario(graph, params, qos, loss, &fast_set);
-  params.sim_core = false;
-  cell.oracle = run_scenario(graph, params, qos, loss, &oracle_set);
-  cell.delivered_identical = fast_set == oracle_set && !fast_set.empty();
-  cell.stats_identical = core_stats_json(cell.fast) == core_stats_json(cell.oracle);
-  cell.events_identical = cell.fast.events == cell.oracle.events;
-  return cell;
-}
-
-/// The ISSUE tentpole acceptance harness: the 1000-peer QoS 1 batched gate
-/// cell on the full-knowledge overlay, plus a 100k-peer sweep cell on a
-/// grid-kNN local-knowledge overlay (build_equilibrium is O(n^2) selector
-/// input — a 100k full-knowledge build alone would blow the CI budget; the
-/// fast-vs-oracle comparison runs both modes on the SAME overlay, so the
-/// equivalence gate is unaffected by how the overlay was built). Gates on
-/// bit-identical delivered sets, byte-identical stats JSON, and equal
-/// sim_events in every cell; reports events/sec per mode for the
-/// regression trajectory (BENCH_simcore.json).
-int run_simcore(ScenarioParams params, std::size_t dims, multicast::QoS qos,
-                double loss, bool csv, const std::string& json_path,
-                std::size_t sweep_peers, std::size_t knn_k) {
-  std::vector<SimCoreCell> cells;
-  {
-    util::Rng rng(params.seed);
-    const auto points = geometry::random_points(rng, params.peers, dims, 100.0);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    cells.push_back(run_simcore_cell("gate1k", graph, params, qos, loss, secs));
-  }
-  if (sweep_peers > 0) {
-    ScenarioParams sweep = params;
-    sweep.peers = sweep_peers;
-    // Few publishes: the sweep cell exists to push peer-count-proportional
-    // state (window slots, dedup tables, wheel occupancy) to 100k within
-    // the CI budget, not to maximise wave traffic.
-    sweep.publishes = std::min<std::size_t>(sweep.publishes, 8);
-    sweep.local_members = true;
-    util::Rng rng(params.seed + 1);
-    const auto points = geometry::random_points(rng, sweep.peers, dims, 100.0);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto graph =
-        overlay::build_equilibrium_local(points, overlay::EmptyRectSelector{}, knn_k);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    cells.push_back(run_simcore_cell("sweep100k", graph, sweep, qos, loss, secs));
-  }
-
-  bool delivered_ok = true, stats_ok = true, events_ok = true;
-  util::Table table({"cell", "peers", "overlay_secs", "mode", "events", "run_secs",
-                     "events_per_sec", "delivery_ratio", "identical"});
-  std::ostringstream cells_json;
-  cells_json.precision(10);
-  for (const auto& cell : cells) {
-    delivered_ok = delivered_ok && cell.delivered_identical;
-    stats_ok = stats_ok && cell.stats_identical;
-    events_ok = events_ok && cell.events_identical;
-    const struct {
-      const char* mode;
-      const ScenarioOutcome* r;
-    } rows[] = {{"fast", &cell.fast}, {"oracle", &cell.oracle}};
-    for (const auto& row : rows) {
-      table.begin_row()
-          .add_cell(cell.name)
-          .add_number(static_cast<double>(cell.peers), 0)
-          .add_number(cell.overlay_secs, 3)
-          .add_cell(row.mode)
-          .add_number(static_cast<double>(row.r->events), 0)
-          .add_number(row.r->run_secs, 4)
-          .add_number(SimCoreCell::events_per_sec(*row.r), 0)
-          .add_number(row.r->total.delivery_ratio(), 5)
-          .add_cell(cell.identical() ? "yes" : "NO");
-    }
-    if (cells_json.tellp() > 0) cells_json << ",";
-    cells_json << "\n    {\"cell\":\"" << cell.name << "\",\"peers\":" << cell.peers
-               << ",\"overlay_secs\":" << cell.overlay_secs
-               << ",\"sim_events\":" << cell.fast.events
-               << ",\"events_per_sec_fast\":" << SimCoreCell::events_per_sec(cell.fast)
-               << ",\"events_per_sec_oracle\":"
-               << SimCoreCell::events_per_sec(cell.oracle)
-               << ",\"delivered_identical\":"
-               << (cell.delivered_identical ? "true" : "false")
-               << ",\"stats_identical\":" << (cell.stats_identical ? "true" : "false")
-               << ",\"events_identical\":" << (cell.events_identical ? "true" : "false")
-               << ",\n     \"fast\":" << scenario_json(params, qos, loss, cell.fast)
-               << ",\n     \"oracle\":" << scenario_json(params, qos, loss, cell.oracle)
-               << "}";
-  }
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const bool all_ok = delivered_ok && stats_ok && events_ok;
-  if (!json_path.empty()) {
-    std::ostringstream json;
-    json.precision(10);
-    json << "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": \"simcore\",\n"
-         << "  \"params\": " << params_json(params) << ",\n  \"cells\": ["
-         << cells_json.str() << "\n  ],\n  \"hardware_threads\": " << hw_threads
-         << ",\n  \"gate_delivered_identical\": "
-         << (delivered_ok ? "true" : "false")
-         << ",\n  \"gate_stats_identical\": " << (stats_ok ? "true" : "false")
-         << ",\n  \"gate_events_identical\": " << (events_ok ? "true" : "false")
-         << "\n}";
-    write_json_file(json_path, json.str());
-  }
-  if (csv) {
-    table.print_csv(std::cout);
-  } else {
-    std::cout << "=== pub/sub simulator-core equivalence: fast path vs heap/set"
-                 " oracle, qos=" << static_cast<int>(qos) << ", loss=" << loss
-              << ", seed " << params.seed << " ===\n\n";
-    table.print(std::cout);
-    std::cout << "\nacceptance: delivered (peer, group, seq) sets bit-identical: "
-              << (delivered_ok ? "PASS" : "FAIL")
-              << "\nacceptance: GroupStats+NetworkStats JSON byte-identical: "
-              << (stats_ok ? "PASS" : "FAIL")
-              << "\nacceptance: sim_events equal: " << (events_ok ? "PASS" : "FAIL")
-              << "\n";
-  }
-  if (!all_ok)
-    std::cerr << "pubsub_throughput: simcore gate failed (delivered=" << delivered_ok
-              << ", stats=" << stats_ok << ", events=" << events_ok << ")\n";
-  return all_ok ? 0 : 2;
-}
-
 // -------------------------------------------------------------- hot group ----
 
 /// One (replicas, qos) cell of the hot-group compare.
@@ -1501,7 +1287,7 @@ HotGroupCell run_hot_group_cell(const overlay::OverlayGraph& graph,
   config.groups.retention_window = params.retention_window;
   config.batch_window = params.batch_window;
   config.max_batch = params.max_batch;
-  config.root_replicas = replicas;
+  config.groups.root_replicas = replicas;
   config.publisher_batch_window = params.publisher_batch_window;
   config.graft_prefix_batch = params.graft_prefix_batch;
   groups::PubSubSystem system(graph, config);
@@ -1633,7 +1419,7 @@ int run_hot_group(ScenarioParams params, std::size_t dims, bool csv,
   for (const std::size_t r : axis) {
     groups::PubSubConfig probe;
     probe.seed = params.seed;
-    probe.root_replicas = r;
+    probe.groups.root_replicas = r;
     groups::PubSubSystem sys(graph, probe);
     for (std::uint32_t s = 0; s < r; ++s)
       excluded[sys.manager().slot_root(0, s)] = true;
@@ -1810,7 +1596,6 @@ int main(int argc, char** argv) {
     const bool graft_cost = flags.get_bool("graft-cost", false);
     const bool latency = flags.get_bool("latency", false);
     const bool root_kill = flags.get_bool("root-kill", false);
-    const bool simcore = flags.get_bool("simcore", false);
     const bool hot_group = flags.get_bool("hot-group", false);
     params.publisher_batch_window = flags.get_double("publisher-batch-window", 0.0);
     params.graft_prefix_batch = flags.get_bool("graft-prefix-batch", false);
@@ -1837,22 +1622,6 @@ int main(int argc, char** argv) {
       // the roots' neighborhoods and starves the victim pool.
       if (root_kill && !flags.has("subscribers"))
         params.subscribers = std::min<std::size_t>(params.subscribers, 12);
-    }
-
-    // Sim-core equivalence: defaults mirror the tentpole gate cell
-    // (1000 peers, QoS 1, 0.1s batching, bursts of 8) unless overridden;
-    // --simcore-peers sizes the grid-kNN sweep cell (0 skips it).
-    if (simcore) {
-      if (!flags.has("subscribers")) params.subscribers = 64;
-      if (!flags.has("publishes")) params.publishes = 64;
-      if (!flags.has("batch-window")) params.batch_window = 0.1;
-      if (!flags.has("pub-burst")) params.pub_burst = 8;
-      const auto simcore_qos = flags.has("qos") ? qos : multicast::QoS::kAcked;
-      const auto sweep_peers =
-          static_cast<std::size_t>(flags.get_int("simcore-peers", 100000));
-      const auto knn_k = static_cast<std::size_t>(flags.get_int("simcore-k", 16));
-      return run_simcore(params, dims, simcore_qos, loss, csv, json_path,
-                         sweep_peers, knn_k);
     }
 
     // Hot group (ISSUE 10): one group, all eligible peers subscribed,

@@ -102,10 +102,9 @@ struct GroupConfig {
   std::uint64_t rendezvous_seed = 0x67656f6d63617374ULL;
   /// Replica-sharded roots: rendezvous-hash each group to this many anchor
   /// points in coordinate space and partition the root's state across the
-  /// nearest alive peer to each anchor. 1 (the default) is the historic
-  /// single-root pipeline — the bit-identical oracle; slot 0's anchor is
-  /// exactly the legacy rendezvous point, so root_of() never changes
-  /// meaning. Subscribers are owned by the slot whose ANCHOR is nearest
+  /// nearest alive peer to each anchor. 1 (the default; 0 means the same)
+  /// is the single-root pipeline; slot 0's anchor is exactly the
+  /// single-root rendezvous point, so root_of() never changes meaning. Subscribers are owned by the slot whose ANCHOR is nearest
   /// their coordinate (anchors are immutable, so churn moves slot roots
   /// but never reshuffles the shard partition).
   std::size_t root_replicas = 1;
@@ -121,17 +120,18 @@ class GroupManager {
   [[nodiscard]] PeerId root_of(GroupId group);
 
   /// Synchronous subscribe: records membership AND grafts the subscriber
-  /// into the cached tree in place (the local-descent oracle the routed
-  /// control plane is verified against).
+  /// into the cached tree in place with a root-local descent (the manager
+  /// API for callers without a simulator; PubSubSystem routes the descent
+  /// instead).
   void subscribe(GroupId group, PeerId peer);
   void unsubscribe(GroupId group, PeerId peer);
   [[nodiscard]] bool is_subscribed(GroupId group, PeerId peer) const;
   [[nodiscard]] std::size_t subscriber_count(GroupId group) const;
 
   // -- routed graft (the distributed zone descent) -------------------------
-  // The message-driven subscribe path splits the oracle's subscribe() in
-  // two: membership is recorded immediately at the root, while the tree
-  // splice becomes an in-flight graft — a GraftCursor advanced one descent
+  // The message-driven subscribe path splits subscribe() in two:
+  // membership is recorded immediately at the root, while the tree splice
+  // becomes an in-flight graft — a GraftCursor advanced one descent
   // decision per routed envelope. The table below holds every in-flight
   // cursor; races with publish (COW snapshots), departures (validation per
   // step), and rebuilds (abort + dirty) are resolved here.
@@ -353,7 +353,7 @@ class GroupManager {
   /// Clock for latency accounting (graft begin -> attach lands in
   /// GroupStats::graft_latency). The message-driven pipeline always wires
   /// the simulator's now(), tracing or not, so stats stay identical either
-  /// way; without a clock (synchronous oracle usage) no latency samples.
+  /// way; without a clock (synchronous manager usage) no latency samples.
   void set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
   /// Attaches (nullptr: detaches) a trace sink for tree-maintenance and
   /// graft-lifecycle events. Purely passive; requires a clock for

@@ -122,11 +122,11 @@ struct GroupStats {
   /// initialized a window, so the beacon cannot owe it history and stays
   /// silent. Nonzero here is the measurable trace of that silence.
   std::uint64_t heartbeat_blind_windows = 0;
-  // Routed graft control plane (PubSubConfig::routed_graft): the zone
-  // descent above driven by real kGraftRequestKind envelopes, one per
-  // hop, at QoS 1. graft_messages still counts the descent decisions
-  // (identical to the local oracle at zero loss); these count the
-  // envelopes and the failure handling the distribution adds.
+  // Routed graft control plane: the zone descent above driven by real
+  // kGraftRequestKind envelopes, one per hop, at QoS 1. graft_messages
+  // still counts the descent decisions (the same count a root-local
+  // descent takes at zero loss); these count the envelopes and the
+  // failure handling the distribution adds.
   std::uint64_t graft_hops = 0;          // kGraftRequestKind envelopes sent
   std::uint64_t graft_retries = 0;       // graft control envelopes retransmitted
   std::uint64_t graft_aborts = 0;        // in-flight grafts given up (tree dirtied)
@@ -135,7 +135,7 @@ struct GroupStats {
   // descent steps sharing a (from, to) hop coalesced into one carrier.
   std::uint64_t graft_prefix_batches = 0;  // kGraftBatchKind carriers sent
   std::uint64_t graft_prefix_merged = 0;   // descent steps that rode a carrier
-  // Replica-sharded roots (PubSubConfig::root_replicas > 1): the seq-lease
+  // Replica-sharded roots (GroupConfig::root_replicas > 1): the seq-lease
   // protocol among slot roots and the per-slot wave handoffs.
   std::uint64_t seq_lease_requests = 0;  // kSeqLeaseKind asks sent to the authority
   std::uint64_t seq_leases_granted = 0;  // dense ranges the authority assigned

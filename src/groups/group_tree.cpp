@@ -185,7 +185,7 @@ GraftStep graft_step(const overlay::OverlayGraph& graph, GroupTree& gt,
 GraftResult graft_subscriber(const overlay::OverlayGraph& graph, GroupTree& gt, PeerId s,
                              const multicast::MulticastConfig& config,
                              const std::vector<bool>& alive) {
-  // The synchronous oracle: the routed control plane's step function,
+  // The synchronous descent: the routed control plane's step function,
   // looped to completion in place. Keeping it a pure wrapper is what makes
   // "routed == local" a structural property rather than a parallel
   // implementation to keep in sync.

@@ -109,7 +109,7 @@ struct GraftResult {
 /// tree: each graft_step() takes exactly ONE descent decision — the local
 /// partition step at `current` — so the descent can be driven hop by hop
 /// from routed envelopes (the distributed control plane) or looped locally
-/// (graft_subscriber, the synchronous oracle). The cursor holds only peer
+/// (graft_subscriber, the synchronous descent). The cursor holds only peer
 /// indices, never tree pointers: steps always run against the caller's
 /// current GroupTree, so copy-on-write clones between steps are safe.
 struct GraftCursor {
@@ -147,9 +147,8 @@ struct GraftStep {
 
 /// Splices subscriber `s` into a cached tree by resuming the recursion
 /// along the slices containing s's point — graft_cursor/graft_step looped
-/// to completion in place, which keeps this the golden oracle the routed
-/// descent is verified against. Exact: the result equals a fresh build
-/// with s added. Throws std::logic_error if `gt.zones_stale`.
+/// to completion in place — the same step function the routed descent
+/// runs hop by hop. Exact: the result equals a fresh build with s added. Throws std::logic_error if `gt.zones_stale`.
 [[nodiscard]] GraftResult graft_subscriber(const overlay::OverlayGraph& graph, GroupTree& gt,
                                            PeerId s,
                                            const multicast::MulticastConfig& config = {},

@@ -83,7 +83,7 @@ inline constexpr sim::MessageKind kReplicaSyncKind = 32;  // root -> replica del
 inline constexpr sim::MessageKind kReplicaAckKind = 33;   // per-hop replica ack
 inline constexpr sim::MessageKind kHeartbeatKind = 34;    // idle seq beacon
 
-// -- replica-shard coordination plane (PubSubConfig::root_replicas > 1).
+// -- replica-shard coordination plane (GroupConfig::root_replicas > 1).
 // The R slot roots of a group coordinate over a dedicated ReliableHopLayer
 // at QoS 1 (acked as kCoordAckKind): a non-authority slot root leases a
 // dense (group, seq) range from the slot-0 authority (kSeqLeaseKind ->

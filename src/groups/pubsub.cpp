@@ -8,17 +8,6 @@
 
 namespace geomcast::groups {
 
-namespace {
-/// The façade's root_replicas knob rides into the manager's GroupConfig so
-/// slots/anchors have one source of truth (0 is normalized to 1 — "no
-/// sharding" — like every other off-value in this config family).
-GroupConfig sharded_group_config(const PubSubConfig& config) {
-  GroupConfig groups = config.groups;
-  groups.root_replicas = config.root_replicas > 1 ? config.root_replicas : 1;
-  return groups;
-}
-}  // namespace
-
 void SubscriberWindow::release_run(std::vector<std::uint64_t>& released) {
   while (true) {
     if (held_.erase(next_expected_) > 0) {
@@ -244,11 +233,8 @@ class PubSubSystem::PubSubNode final : public sim::Node {
 PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig config)
     : graph_(graph),
       config_(std::move(config)),
-      sim_(std::make_unique<sim::Simulator>(config_.seed,
-                                            config_.sim_core
-                                                ? sim::QueueBackend::kWheel
-                                                : sim::QueueBackend::kHeap)),
-      manager_(std::make_unique<GroupManager>(graph, sharded_group_config(config_))) {
+      sim_(std::make_unique<sim::Simulator>(config_.seed)),
+      manager_(std::make_unique<GroupManager>(graph, config_.groups)) {
   // The manager needs the simulated clock for graft latency accounting
   // (begin -> attach). Wired unconditionally — latency histograms are
   // stats, not tracing, so they must be identical with or without a sink.
@@ -283,57 +269,50 @@ PubSubSystem::PubSubSystem(const overlay::OverlayGraph& graph, PubSubConfig conf
   hooks.sender_alive = [this](sim::NodeId p) { return manager_->alive(p); };
   hop_ = std::make_unique<multicast::ReliableHopLayer>(
       *sim_, kDeliverKind, kDeliverAckKind, config_.reliability, std::move(hooks));
-  if (acked()) {
-    if (config_.sim_core)
-      seen_ranges_.resize(graph.size());
-    else
-      seen_.resize(graph.size());
-  }
+  if (acked()) seen_ranges_.resize(graph.size());
   if (end_to_end()) windows_.resize(graph.size());
 
-  if (config_.routed_graft) {
-    // Graft control hops are ALWAYS acked (QoS 1), whatever the data plane
-    // runs at: a lost descent envelope must retransmit, not strand the
-    // subscriber. An abandoned hop (receiver died, or budget spent against
-    // persistent loss) aborts the whole graft — the abort dirties the
-    // cache and re-issues the subscribe, so the subscriber converges
-    // through the rebuild path instead.
-    multicast::ReliableHopLayer::Hooks graft_hooks;
-    // Both hooks type-test for a prefix-batched carrier first: a GraftBatch
-    // retries or dies as a unit, so every member is charged/aborted. With
-    // graft_prefix_batch off no carrier ever exists and the cast is a
-    // guaranteed-miss null test in front of the historic path.
-    graft_hooks.on_retransmit = [this](sim::NodeId, sim::NodeId, std::uint64_t,
-                                       const std::any& payload) {
-      if (const auto* batch = std::any_cast<GraftBatch>(&payload)) {
-        for (const GraftEnvelope& graft : batch->grafts) {
-          ++manager_->stats(graft.group).graft_retries;
-          sim_->network().note_graft_retry();
-        }
-        return;
+  // Graft control hops are ALWAYS acked (QoS 1), whatever the data plane
+  // runs at: a lost descent envelope must retransmit, not strand the
+  // subscriber. An abandoned hop (receiver died, or budget spent against
+  // persistent loss) aborts the whole graft — the abort dirties the
+  // cache and re-issues the subscribe, so the subscriber converges
+  // through the rebuild path instead.
+  multicast::ReliableHopLayer::Hooks graft_hooks;
+  // Both hooks type-test for a prefix-batched carrier first: a GraftBatch
+  // retries or dies as a unit, so every member is charged/aborted. With
+  // graft_prefix_batch off no carrier ever exists and the cast is a
+  // guaranteed-miss null test in front of the historic path.
+  graft_hooks.on_retransmit = [this](sim::NodeId, sim::NodeId, std::uint64_t,
+                                     const std::any& payload) {
+    if (const auto* batch = std::any_cast<GraftBatch>(&payload)) {
+      for (const GraftEnvelope& graft : batch->grafts) {
+        ++manager_->stats(graft.group).graft_retries;
+        sim_->network().note_graft_retry();
       }
-      const auto& graft = std::any_cast<const GraftEnvelope&>(payload);
-      ++manager_->stats(graft.group).graft_retries;
-      sim_->network().note_graft_retry();
-    };
-    graft_hooks.on_abandon = [this](sim::NodeId, sim::NodeId, std::uint64_t,
-                                    const std::any& payload) {
-      if (const auto* batch = std::any_cast<GraftBatch>(&payload)) {
-        for (const GraftEnvelope& graft : batch->grafts) abort_graft(graft.graft_id);
-        return;
-      }
-      abort_graft(std::any_cast<const GraftEnvelope&>(payload).graft_id);
-    };
-    graft_hooks.sender_alive = [this](sim::NodeId p) { return manager_->alive(p); };
-    graft_hop_ = std::make_unique<multicast::ReliableHopLayer>(
-        *sim_, kGraftRequestKind, kGraftAckKind,
-        multicast::ReliabilityConfig{multicast::QoS::kAcked,
-                                     config_.reliability.ack_timeout,
-                                     config_.reliability.max_retries},
-        std::move(graft_hooks));
-    graft_seen_.resize(graph.size());
-    if (config_.graft_prefix_batch) graft_outbox_.resize(graph.size());
-  }
+      return;
+    }
+    const auto& graft = std::any_cast<const GraftEnvelope&>(payload);
+    ++manager_->stats(graft.group).graft_retries;
+    sim_->network().note_graft_retry();
+  };
+  graft_hooks.on_abandon = [this](sim::NodeId, sim::NodeId, std::uint64_t,
+                                  const std::any& payload) {
+    if (const auto* batch = std::any_cast<GraftBatch>(&payload)) {
+      for (const GraftEnvelope& graft : batch->grafts) abort_graft(graft.graft_id);
+      return;
+    }
+    abort_graft(std::any_cast<const GraftEnvelope&>(payload).graft_id);
+  };
+  graft_hooks.sender_alive = [this](sim::NodeId p) { return manager_->alive(p); };
+  graft_hop_ = std::make_unique<multicast::ReliableHopLayer>(
+      *sim_, kGraftRequestKind, kGraftAckKind,
+      multicast::ReliabilityConfig{multicast::QoS::kAcked,
+                                   config_.reliability.ack_timeout,
+                                   config_.reliability.max_retries},
+      std::move(graft_hooks));
+  graft_seen_.resize(graph.size());
+  if (config_.graft_prefix_batch) graft_outbox_.resize(graph.size());
 
   if (sharded()) {
     // Slot-root coordination (seq leases/grants, shard-wave handoffs) is
@@ -456,15 +435,11 @@ void PubSubSystem::handle_at_root(PeerId self, sim::MessageKind kind,
       // resubscribes and duplicate requests are no-ops there.
       const bool fresh =
           warm() && !manager_->is_subscribed(request.group, request.origin);
-      if (config_.routed_graft) {
-        // Membership is booked here; the tree splice — when one is owed —
-        // becomes a routed descent instead of root-local work.
-        if (manager_->subscribe_membership(request.group, request.origin) ==
-            GroupManager::SubscribeNeed::kGraft)
-          start_graft(self, request.group, request.origin);
-      } else {
-        manager_->subscribe(request.group, request.origin);
-      }
+      // Membership is booked here; the tree splice — when one is owed —
+      // becomes a routed descent instead of root-local work.
+      if (manager_->subscribe_membership(request.group, request.origin) ==
+          GroupManager::SubscribeNeed::kGraft)
+        start_graft(self, request.group, request.origin);
       if (fresh) replica_sync_membership(self, request.group, request.origin, true);
       return;
     }
@@ -1217,21 +1192,9 @@ const std::vector<std::pair<std::uint64_t, std::uint64_t>>& PubSubSystem::fresh_
     PeerId self, GroupId group, std::uint64_t lo, std::uint64_t hi) {
   auto& fresh = fresh_scratch_;
   fresh.clear();
-  if (!config_.sim_core) {
-    // Oracle path: one set node per seq.
-    auto& seen = seen_[self];
-    for (std::uint64_t s = lo; s <= hi; ++s) {
-      if (!seen.emplace(group, s).second) continue;
-      if (!fresh.empty() && fresh.back().second + 1 == s)
-        fresh.back().second = s;
-      else
-        fresh.emplace_back(s, s);
-    }
-    return fresh;
-  }
-  // Interval-set path: the map holds disjoint, non-adjacent inclusive
-  // ranges (start -> end), so consecutive covered ranges are always
-  // separated by a gap and the walk below never emits an empty run.
+  // The map holds disjoint, non-adjacent inclusive ranges (start -> end),
+  // so consecutive covered ranges are always separated by a gap and the
+  // walk below never emits an empty run.
   auto& ranges = seen_ranges_[self][group];
   // Hot paths first. In-order traffic lands exactly one past the covered
   // suffix (the map's last range holds both the greatest start and the

@@ -10,10 +10,10 @@
 // NetworkStats like data traffic (control_envelopes), so finding and
 // maintaining a tree costs measurable messages, not free root-side work.
 //
-// Routed graft (PubSubConfig::routed_graft, default on): a subscribe that
-// lands at a root holding a clean cached tree does NOT splice the
-// newcomer in locally. The zone descent itself becomes messages — the
-// decentralized construction the paper claims, applied to maintenance:
+// Routed graft: a subscribe that lands at a root holding a clean cached
+// tree does NOT splice the newcomer in locally. The zone descent itself
+// becomes messages — the decentralized construction the paper claims,
+// applied to maintenance:
 //
 //            subscriber --kSubscribeKind-->  root
 //                                             | graft_begin (cursor @ root)
@@ -46,17 +46,24 @@
 // silently unsubscribed peer. The subscriber's delivery flag is set only
 // by the final descent step, so a publish wave racing the graft sees the
 // newcomer as (at most) a relay chain and cannot deliver to — or count —
-// a half-attached subscriber. With routed_graft off, subscribe falls back
-// to GroupManager::subscribe's synchronous local descent: the golden
-// oracle the routed path is pinned bit-identical against on lossless
-// seeds (tests/groups_routed_graft_test.cpp).
+// a half-attached subscriber. On lossless seeds every routed graft lands
+// on the tree a fresh build over the final membership produces
+// (tests/groups_routed_graft_test.cpp); GroupManager::subscribe keeps the
+// synchronous, root-local descent for callers driving the manager
+// without a simulator.
 //
 // Data plane: the root resolves the group's cached pruned tree through
 // the GroupManager and pushes the payload down it, one kDeliverKind
 // envelope per tree edge; every peer forwards to its current tree
 // children (the forwarding state the build wave installed) and consumes
 // the payload iff subscribed, with per-(group, seq) duplicate
-// suppression.
+// suppression over an interval set of the seq ranges already seen.
+//
+// Replica-sharded roots (GroupConfig::root_replicas = R > 1): each group
+// hashes to R rendezvous anchors, the nearest alive peer to each is a
+// slot root owning the subscribers nearest its anchor, a seq-lease plane
+// keeps (group, seq) dense and unique across slots, and each flush drives
+// one pruned shard tree per slot.
 //
 // Wave coalescing (PubSubConfig::batch_window / max_batch): back-to-back
 // publishes to the same group are buffered at the rendezvous root and
@@ -346,15 +353,6 @@ struct PubSubConfig {
   /// must not wait out the window); also caps the range an envelope,
   /// a pending hop entry, and a retained-buffer slot can cover.
   std::size_t max_batch = 16;
-  /// Replica-sharded roots: rendezvous-hash each group to this many anchor
-  /// points and partition the root role across the nearest alive peer to
-  /// each. Subscribers are owned by their nearest anchor's slot; control
-  /// traffic targets the owner slot's root; each flush drives one pruned
-  /// shard tree per slot, with a seq-lease protocol keeping (group, seq)
-  /// globally unique and dense. 1 (the default) is the historic
-  /// single-root pipeline, bit-identical to it on every seed — the oracle
-  /// the R > 1 delivered sets are pinned against.
-  std::size_t root_replicas = 1;
   /// Publisher-side batching: app messages published by one peer to one
   /// group within this window ride ONE kPublishKind envelope (carrying a
   /// count) to the root, multiplying with root-side coalescing. 0 (the
@@ -380,12 +378,6 @@ struct PubSubConfig {
   /// subscriber-side gap detection and ancestor repair per `repair`.
   multicast::ReliabilityConfig reliability{multicast::QoS::kFireAndForget};
   RepairConfig repair;
-  /// Subscribe path for roots holding a clean cached tree: true (the
-  /// default) drives the zone descent with routed kGraftRequestKind
-  /// envelopes — one real hop per descent decision, QoS 1, visible in
-  /// NetworkStats; false runs GroupManager::subscribe's synchronous local
-  /// descent (the golden oracle, bit-identical on lossless seeds).
-  bool routed_graft = true;
   /// Warm root failover: every group root streams membership deltas,
   /// retained-range inserts, and pending-batch joins to the group's
   /// replica (kReplicaSyncKind, QoS 1), so root death promotes a warm
@@ -402,14 +394,6 @@ struct PubSubConfig {
   /// beacons are fire-and-forget); bounded so an idle group goes silent
   /// and run() terminates.
   std::size_t heartbeat_rounds = 2;
-  /// Simulation-core fast path (the 100k-peer tentpole): true (the
-  /// default) runs the hierarchical timer-wheel event queue, interval-set
-  /// (group, seq) dedup, and dense per-(peer, group) window-slot storage;
-  /// false keeps the historic binary-heap / per-seq-set / map core — the
-  /// oracle the fast path is pinned bit-identical against
-  /// (tests/groups_simcore_test.cpp): same delivered sets, byte-identical
-  /// stats JSON, on every seed.
-  bool sim_core = true;
   std::uint64_t seed = 1;
 };
 
@@ -688,7 +672,8 @@ class PubSubSystem {
   /// Marks [lo, hi] of `group` seen at `self` and returns the contiguous
   /// runs of first-sighted seqs — the dedup step shared by the data plane
   /// and the repair plane (whole range fresh on the common path; empty
-  /// means a pure duplicate). Only meaningful under QoS 1+ (seen_ sized).
+  /// means a pure duplicate). Only meaningful under QoS 1+ (seen_ranges_
+  /// sized).
   /// Returns a reference to a reusable scratch buffer (one live result at
   /// a time — no caller holds it across another dedup).
   [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint64_t>>& fresh_runs(
@@ -802,7 +787,9 @@ class PubSubSystem {
   [[nodiscard]] bool batching() const noexcept {
     return config_.batch_window > 0.0 && config_.max_batch > 1;
   }
-  [[nodiscard]] bool sharded() const noexcept { return config_.root_replicas > 1; }
+  [[nodiscard]] bool sharded() const noexcept {
+    return config_.groups.root_replicas > 1;
+  }
 
   const overlay::OverlayGraph& graph_;
   PubSubConfig config_;
@@ -868,19 +855,12 @@ class PubSubSystem {
   /// steps queued by next-hop target, flushed by a zero-delay event.
   std::vector<std::map<PeerId, std::vector<GraftEnvelope>>> graft_outbox_;
   std::uint64_t next_wave_ = 0;
-  /// Per-peer (group, seq) pairs already processed — the QoS 1+ dedup that
-  /// tells a retransmission (or duplicate repair) from fresh data. Unused
-  /// (empty) under QoS 0, where snapshot-tree forwarding makes duplicates
-  /// impossible. Grows O(waves a peer relays) for the simulation's
-  /// lifetime: an entry is only needed while the parent's retransmission
-  /// window is open, but the receiver cannot observe that locally.
-  std::vector<std::set<std::pair<GroupId, std::uint64_t>>> seen_;
-  /// sim_core replacement for seen_: disjoint inclusive seq ranges already
-  /// processed, per (peer, group) — O(log ranges) per wave instead of one
-  /// set node per seq, so a batched range wave dedups in one splice and
-  /// memory stays O(gaps), not O(delivered seqs). Exactly one of
-  /// seen_/seen_ranges_ is sized (by the sim_core knob); both produce the
-  /// identical fresh_runs output for the same arrival history.
+  /// Per-peer, per-group (group, seq) ranges already processed — the QoS
+  /// 1+ dedup that tells a retransmission (or duplicate repair) from fresh
+  /// data. Disjoint inclusive seq ranges (start -> end), so a batched range
+  /// wave dedups in one splice and memory stays O(gaps), not O(delivered
+  /// seqs). Unused (empty) under QoS 0, where snapshot-tree forwarding
+  /// makes duplicates impossible.
   std::vector<std::map<GroupId, std::map<std::uint64_t, std::uint64_t>>> seen_ranges_;
   /// fresh_runs result buffer, reused across calls so the per-hop dedup
   /// never allocates.
@@ -894,7 +874,7 @@ class PubSubSystem {
   /// Per-peer graft ids whose descent step already ran here — the dedup
   /// that keeps a retransmitted kGraftRequestKind from replaying a
   /// decision (a descent visits each peer at most once, so the id alone
-  /// is the key). Sized only when routed_graft is on.
+  /// is the key).
   std::vector<std::set<std::uint64_t>> graft_seen_;
   /// Per-peer sync ids already applied — the dedup that keeps a
   /// retransmitted (non-idempotent) kPendingJoin from double-booking.

@@ -58,21 +58,18 @@ void EventQueue::ActionTable::trim() {
   }
 }
 
-EventQueue::EventQueue(QueueBackend backend) : backend_(backend) {
-  if (backend_ == QueueBackend::kWheel) {
-    fine_.resize(kFineBuckets);
-    coarse_.resize(kCoarseBuckets);
-    fine_bits_.assign(kFineBuckets / 64, 0);
-    coarse_bits_.assign(kCoarseBuckets / 64, 0);
-  }
-}
+EventQueue::EventQueue()
+    : fine_(kFineBuckets),
+      coarse_(kCoarseBuckets),
+      fine_bits_(kFineBuckets / 64, 0),
+      coarse_bits_(kCoarseBuckets / 64, 0) {}
 
 EventId EventQueue::schedule(SimTime when, std::function<void()> action) {
   if (when < last_popped_)
     throw std::invalid_argument("EventQueue::schedule: time is in the past");
   if (!action) throw std::invalid_argument("EventQueue::schedule: empty action");
   const EventId id = ids_.add(std::move(action));
-  place(when, id);
+  wheel_insert(Entry{when, id});
   return id;
 }
 
@@ -82,17 +79,8 @@ EventId EventQueue::schedule(SimTime when, RawFn fn, void* ctx, std::uint64_t ar
   if (fn == nullptr)
     throw std::invalid_argument("EventQueue::schedule: null callback");
   const EventId id = ids_.add(fn, ctx, arg);
-  place(when, id);
+  wheel_insert(Entry{when, id});
   return id;
-}
-
-void EventQueue::place(SimTime when, EventId id) {
-  if (backend_ == QueueBackend::kHeap) {
-    heap_.push_back(Entry{when, id});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  } else {
-    wheel_insert(Entry{when, id});
-  }
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -103,54 +91,14 @@ bool EventQueue::cancel(EventId id) {
   // Compact once they exceed half the stored entries: O(n) now, amortised
   // O(1) per cancel.
   const std::size_t stored = heap_size();
-  if (stored >= kMinCompactSize && stored > 2 * ids_.size()) {
-    if (backend_ == QueueBackend::kHeap)
-      heap_compact();
-    else
-      wheel_compact();
-  }
+  if (stored >= kMinCompactSize && stored > 2 * ids_.size()) wheel_compact();
   return true;
-}
-
-void EventQueue::heap_compact() const {
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const Entry& entry) {
-                               return !ids_.contains(entry.id);
-                             }),
-              heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-void EventQueue::heap_drop_stale_head() const {
-  while (!heap_.empty() && !ids_.contains(heap_.front().id)) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
 }
 
 SimTime EventQueue::next_time() const {
-  if (backend_ == QueueBackend::kHeap) {
-    heap_drop_stale_head();
-    if (heap_.empty()) throw std::logic_error("EventQueue::next_time: queue is empty");
-    return heap_.front().when;
-  }
   const Entry* front = wheel_peek();
   if (front == nullptr) throw std::logic_error("EventQueue::next_time: queue is empty");
   return front->when;
-}
-
-bool EventQueue::pop_front(Entry* out) {
-  if (backend_ == QueueBackend::kHeap) {
-    heap_drop_stale_head();
-    if (heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    *out = heap_.back();
-    heap_.pop_back();
-    return true;
-  }
-  if (wheel_peek() == nullptr) return false;
-  *out = wheel_consume_front();
-  return true;
 }
 
 void EventQueue::dispatch(const Entry& entry, SimTime* now_out) {
@@ -164,9 +112,8 @@ void EventQueue::dispatch(const Entry& entry, SimTime* now_out) {
 }
 
 bool EventQueue::run_next(SimTime* now_out) {
-  Entry entry;
-  if (!pop_front(&entry)) return false;
-  dispatch(entry, now_out);
+  if (wheel_peek() == nullptr) return false;
+  dispatch(wheel_consume_front(), now_out);
   return true;
 }
 
@@ -214,9 +161,9 @@ EventQueue::Entry* EventQueue::wheel_peek() const {
     // Rung 0: the earliest live entry sits in the first non-empty fine
     // bucket at or after the cursor, because buckets partition the time
     // axis monotonically and each bucket is sorted by (when, id) before
-    // consumption — exactly the heap's pop order. The occupancy bitmap
-    // jumps the cursor straight to that bucket; a skipped bucket stores
-    // nothing at all, so skipping it cannot change the pop order.
+    // consumption — exactly the global (time, id) order. The occupancy
+    // bitmap jumps the cursor straight to that bucket; a skipped bucket
+    // stores nothing at all, so skipping it cannot change the pop order.
     while (fine_count_ > 0 && fine_cursor_ < cascaded) {
       const std::uint64_t hop = next_occupied(
           fine_bits_, fine_cursor_ % kFineBuckets,

@@ -3,26 +3,20 @@
 // they were scheduled and every run of a seeded simulation is bit-for-bit
 // identical.
 //
-// Two interchangeable backends produce that exact same order:
-//
-//  - kHeap: the original compacted binary heap. O(log n) per operation,
-//    no assumptions about time distribution. This is the oracle.
-//  - kWheel: a hierarchical timer wheel for the short-horizon timers that
-//    dominate simulation workloads (per-hop latency, retransmit, gap and
-//    batch timers). Rung 0 is a ring of fine buckets (kWheelTick wide),
-//    rung 1 a ring of coarse buckets (one rung-0 span wide each), and the
-//    compacted binary heap stays on as the long-horizon overflow rung.
-//    An insert is O(1) bucket append; pops sort one small bucket at a time
-//    by (time, id), which reproduces the heap's global pop order exactly
-//    (buckets partition the time axis monotonically). Coarse buckets
-//    cascade into rung 0 when the fine cursor crosses their boundary, and
-//    overflow entries drain into the wheel the moment the cascade cursor
-//    reaches their coarse bucket. Each ring keeps an occupancy bitmap (one
-//    bit per bucket, set iff the bucket stores entries), so sparse
-//    workloads — a few thousand events spread over a long horizon — skip
-//    runs of empty buckets with a word scan instead of visiting each
-//    bucket (the 100k-peer sweep shape where the wheel used to trail the
-//    heap).
+// The queue is a hierarchical timer wheel tuned for the short-horizon
+// timers that dominate simulation workloads (per-hop latency, retransmit,
+// gap and batch timers). Rung 0 is a ring of fine buckets (kWheelTick
+// wide), rung 1 a ring of coarse buckets (one rung-0 span wide each), and
+// a compacted binary heap is the long-horizon overflow rung. An insert is
+// an O(1) bucket append; pops sort one small bucket at a time by
+// (time, id), which yields the global (time, id) order because buckets
+// partition the time axis monotonically. Coarse buckets cascade into rung
+// 0 when the fine cursor crosses their boundary, and overflow entries
+// drain into the wheel the moment the cascade cursor reaches their coarse
+// bucket. Each ring keeps an occupancy bitmap (one bit per bucket, set iff
+// the bucket stores entries), so sparse workloads — a few thousand events
+// spread over a long horizon — skip runs of empty buckets with a word
+// scan instead of visiting each bucket.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +35,9 @@ using EventId = std::uint64_t;
 /// must be cancelled first).
 using RawFn = void (*)(void* ctx, std::uint64_t arg);
 
-enum class QueueBackend { kHeap, kWheel };
-
 class EventQueue {
  public:
-  explicit EventQueue(QueueBackend backend = QueueBackend::kHeap);
+  EventQueue();
 
   /// Schedules `action` at absolute time `when`; returns a handle usable
   /// with cancel(). `when` must be >= the last popped time (no scheduling
@@ -60,7 +52,7 @@ class EventQueue {
 
   /// Cancels a pending event; returns false if it already ran, was already
   /// cancelled, or never existed. Lazy removal: the stored entry stays
-  /// until its bucket (or the heap front) is consumed — but once stale
+  /// until its bucket (or the overflow heap's front) is consumed — but once stale
   /// entries outnumber live ones (every acked hop cancels its retransmit
   /// timer, so under reliable traffic most of the queue is corpses), the
   /// storage is compacted in one O(n) pass instead of surfacing each
@@ -72,15 +64,14 @@ class EventQueue {
   /// Storage slots currently held, cancelled corpses included — pending()
   /// plus the stale entries compaction has not yet reclaimed (observability
   /// for the compaction tests/bench; always < 2 * pending() + a small floor
-  /// after any cancel, by the compaction invariant). Under kWheel this sums
-  /// all three rungs.
+  /// after any cancel, by the compaction invariant), summed over all three
+  /// rungs.
   [[nodiscard]] std::size_t heap_size() const noexcept {
     return fine_count_ + coarse_count_ + heap_.size();
   }
   /// Time of the earliest pending event; queue must not be empty.
   [[nodiscard]] SimTime next_time() const;
   [[nodiscard]] SimTime last_popped_time() const noexcept { return last_popped_; }
-  [[nodiscard]] QueueBackend backend() const noexcept { return backend_; }
 
   /// Pops and runs the earliest pending event. Returns false if nothing ran
   /// (queue empty). Cancelled entries are skipped transparently. When
@@ -193,19 +184,8 @@ class EventQueue {
     return static_cast<std::uint64_t>(when / kWheelTick);
   }
 
-  /// Shared tail of the schedule() overloads: files the entry with the
-  /// active backend.
-  void place(SimTime when, EventId id);
-  /// Pops the earliest pending entry; false when empty (stale entries
-  /// skipped). Does not run it.
-  bool pop_front(Entry* out);
   void dispatch(const Entry& entry, SimTime* now_out);
 
-  // --- heap backend ---
-  void heap_drop_stale_head() const;
-  void heap_compact() const;
-
-  // --- wheel backend ---
   void wheel_insert(Entry entry);
   void wheel_place_fine(Entry entry) const;
   /// Locates the earliest live entry, advancing cursors / cascading /
@@ -237,13 +217,11 @@ class EventQueue {
       coarse_bits_[slot >> 6] &= ~(1ULL << (slot & 63));
   }
 
-  QueueBackend backend_;
   ActionTable ids_;
   SimTime last_popped_ = kTimeZero;
   std::uint64_t pops_ = 0;
 
-  // Heap backend storage (also the wheel's overflow rung); min-heap per
-  // Later via std::*_heap.
+  // The overflow rung: a min-heap per Later via std::*_heap.
   mutable std::vector<Entry> heap_;
 
   // Wheel state. Buckets are addressed by absolute index (floor(when /
@@ -251,8 +229,7 @@ class EventQueue {
   // absolute fine index below `cascaded_` lives in rung 0. `coarse_cursor_`
   // is the next coarse bucket to cascade (cascaded_ == coarse_cursor_ *
   // kFineBuckets). peek() must advance this state from const accessors
-  // (next_time()), hence mutable — identical in spirit to the heap's lazy
-  // stale-head dropping.
+  // (next_time()), hence mutable.
   mutable std::vector<Bucket> fine_;
   mutable std::vector<Bucket> coarse_;
   mutable std::vector<std::uint64_t> fine_bits_;

@@ -5,8 +5,7 @@
 
 namespace geomcast::sim {
 
-Simulator::Simulator(std::uint64_t seed, QueueBackend backend)
-    : network_(util::Rng(seed)), queue_(backend) {}
+Simulator::Simulator(std::uint64_t seed) : network_(util::Rng(seed)) {}
 
 void Simulator::add_node(Node& node) {
   if (node.id() != nodes_.size())

@@ -4,8 +4,7 @@
 // earliest (time, id) event from one EventQueue, advances the clock to it
 // and runs it on the calling thread. Sends are admitted by the Network
 // (one seeded rng stream for loss and latency) and become delivery events
-// on that same queue, so a seeded run is bit-for-bit reproducible and the
-// queue backend (heap or timer wheel) changes wall-clock time only.
+// on that same queue, so a seeded run is bit-for-bit reproducible.
 #pragma once
 
 #include <any>
@@ -23,10 +22,7 @@ namespace geomcast::sim {
 
 class Simulator {
  public:
-  /// `backend` selects the event-queue implementation; both produce
-  /// bit-identical schedules (see sim/event_queue.hpp). kWheel is the fast
-  /// path for timer-dominated workloads; kHeap is the oracle.
-  explicit Simulator(std::uint64_t seed = 1, QueueBackend backend = QueueBackend::kHeap);
+  explicit Simulator(std::uint64_t seed = 1);
 
   /// Registers a node. The simulator does NOT take ownership; the caller
   /// must keep the node alive for the simulator's lifetime. Node ids must
@@ -71,7 +67,7 @@ class Simulator {
 
   /// Live (non-cancelled) events awaiting dispatch.
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.pending(); }
-  /// Heap slots occupied, cancelled corpses included — the memory-pressure
+  /// Queue slots occupied, cancelled corpses included — the memory-pressure
   /// gauge the observability sampler exports (compaction keeps it within a
   /// constant factor of pending_events()).
   [[nodiscard]] std::size_t queue_heap_size() const noexcept {

@@ -28,6 +28,8 @@ inline constexpr SimCorePin kSimCorePins[] = {
      "0b482bb0e5186c8cd9c376e7bd39608c", "2962b239c39d2298"},
     {"SeedSweepQoS1/241",
      "cab72ac46b807858b890f3ae02257126", "01f2fa5cabdca0af"},
+    {"GridKnnLocalMembersQoS1Batched",
+     "31ba151e7a8a9a2220b0f21a4b14873d", "67a0aa69a4a4112f"},
 };
 
 }  // namespace geomcast::groups::golden

@@ -80,7 +80,6 @@ RunOutcome run_once(const overlay::OverlayGraph& graph, std::uint64_t seed,
                     bool* leaves_ok_out = nullptr) {
   PubSubConfig config;
   config.seed = seed;
-  config.routed_graft = true;
   PubSubSystem system(graph, config);
   RunOutcome outcome;
   outcome.initial_root = system.manager().root_of(kGroup);

@@ -1,4 +1,4 @@
-// Replica-sharded roots battery (PubSubConfig::root_replicas = R): the
+// Replica-sharded roots battery (GroupConfig::root_replicas = R): the
 // rendezvous-replica partition itself (anchors, owner slots, distinct slot
 // roots), delivered-set identity of R in {1, 2, 4} against the R = 1
 // single-root oracle across QoS rungs x loss x root batching x publisher
@@ -76,7 +76,7 @@ CellResult run_cell(const overlay::OverlayGraph& graph, const CellConfig& cell) 
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 211;
-  config.root_replicas = cell.replicas;
+  config.groups.root_replicas = cell.replicas;
   config.reliability.qos = cell.qos;
   config.reliability.ack_timeout = 0.05;
   config.reliability.max_retries = 12;  // generous: lossy cells still converge
@@ -102,7 +102,7 @@ TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 199;
-  config.root_replicas = 4;
+  config.groups.root_replicas = 4;
   PubSubSystem system(graph, config);
   subscribe_members(system, graph, g, 16, 199);
   system.run();
@@ -129,6 +129,31 @@ TEST(GroupsReplicaShardTest, AnchorsPartitionPeersAcrossDistinctSlotRoots) {
     EXPECT_LT(slot, 4u);
     EXPECT_EQ(manager.owner_root(g, p), manager.slot_root(g, slot));
   }
+}
+
+TEST(GroupsReplicaShardTest, PubSubPassesGroupConfigRootReplicasThrough) {
+  // The replica count has one home, PubSubConfig::groups.root_replicas: the
+  // façade hands it to the manager unchanged (a second façade-level knob
+  // once overwrote it back to 1), and the sharded pipeline delivers.
+  const auto graph = make_overlay(200, 2, 1508);
+  const GroupId g = 0;
+  PubSubConfig config;
+  config.seed = 207;
+  config.groups.root_replicas = 4;
+  PubSubSystem system(graph, config);
+  ASSERT_EQ(system.manager().root_replicas(), 4u);
+  ASSERT_TRUE(system.manager().sharded());
+  DeliveredSet delivered;
+  system.set_delivery_probe([&delivered](PeerId p, GroupId, std::uint64_t seq, double) {
+    delivered.emplace(p, seq);
+  });
+  const auto members = subscribe_members(system, graph, g, 16, 207);
+  system.publish_at(2.0, members[0], g);
+  system.run();
+  DeliveredSet expected;
+  for (const PeerId p : members) expected.emplace(p, 0);
+  EXPECT_EQ(delivered, expected);
+  EXPECT_GT(system.stats(g).shard_waves, 0u);
 }
 
 TEST(GroupsReplicaShardTest, MoreThanSixtyFourReplicasKeepDistinctRoots) {
@@ -234,7 +259,7 @@ TEST(GroupsReplicaShardTest, SlotRootDeathMidGraftLeaksNoCursorsAndRecovers) {
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 223;
-  config.root_replicas = 4;
+  config.groups.root_replicas = 4;
   config.reliability.qos = multicast::QoS::kEndToEnd;
   config.reliability.ack_timeout = 0.05;
   config.reliability.max_retries = 8;
@@ -293,7 +318,7 @@ TEST(GroupsReplicaShardTest, WarmFailoverPromotesTheShardedAuthority) {
   const GroupId g = 0;
   PubSubConfig config;
   config.seed = 227;
-  config.root_replicas = 2;
+  config.groups.root_replicas = 2;
   config.reliability.qos = multicast::QoS::kEndToEnd;
   config.batch_window = 0.1;
   config.warm_failover = true;
@@ -332,7 +357,7 @@ TEST(GroupsReplicaShardTest, PrefixBatchedGraftsBuildIdenticalTrees) {
   const auto run_cell = [&graph, g](std::size_t replicas, bool prefix_batch) {
     PubSubConfig config;
     config.seed = 229;
-    config.root_replicas = replicas;
+    config.groups.root_replicas = replicas;
     config.reliability.qos = multicast::QoS::kEndToEnd;
     config.graft_prefix_batch = prefix_batch;
     PubSubSystem system(graph, config);
@@ -378,7 +403,7 @@ TEST(GroupsReplicaShardTest, PublisherBatchingCoalescesAtTheSource) {
   const auto run_cell = [&graph, g](double window) {
     PubSubConfig config;
     config.seed = 233;
-    config.root_replicas = 2;
+    config.groups.root_replicas = 2;
     config.reliability.qos = multicast::QoS::kEndToEnd;
     config.publisher_batch_window = window;
     PubSubSystem system(graph, config);
@@ -415,7 +440,7 @@ TEST(GroupsReplicaShardTest, SnapshotJsonCarriesTheShardCounters) {
 
   PubSubConfig config;
   config.seed = 211;
-  config.root_replicas = 4;
+  config.groups.root_replicas = 4;
   PubSubSystem system(graph, config);
   subscribe_members(system, graph, 0, 8, 211);
   system.publish_at(2.0, system.manager().root_of(0), 0);

@@ -114,7 +114,7 @@ TEST(EventQueueTest, PendingCountsLiveEventsOnly) {
 
 TEST(EventQueueTest, CancelHeavyHeapIsCompacted) {
   // Every acked hop cancels its retransmit timer, so reliable traffic
-  // cancels most of what it schedules; the heap must shed those corpses
+  // cancels most of what it schedules; the queue must shed those corpses
   // instead of carrying them until they surface.
   EventQueue queue;
   std::vector<EventId> ids;
@@ -138,8 +138,8 @@ TEST(EventQueueTest, CancelHeavyHeapIsCompacted) {
 }
 
 TEST(EventQueueTest, CompactionPreservesTieBreakOrder) {
-  // Simultaneous events must still run in scheduling order after the heap
-  // was rebuilt around their cancelled neighbours.
+  // Simultaneous events must still run in scheduling order after the
+  // queue was compacted around their cancelled neighbours.
   EventQueue queue;
   std::vector<int> order;
   std::vector<EventId> doomed;

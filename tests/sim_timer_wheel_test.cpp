@@ -1,10 +1,15 @@
-// The kWheel event-queue backend must reproduce the binary heap's
-// (time, insertion-sequence) pop order exactly — the heap is the oracle.
-// These tests drive both backends through identical schedules (including
-// ties, cancels, mid-run rescheduling, rung boundaries, and the overflow
-// rung) and pin the equivalence, plus the wheel-specific edge paths.
+// The timer-wheel event queue must pop in exact (time, insertion-sequence)
+// order. The reference is test-local: every schedule is recorded as a
+// (when, insertion index) pair, and since nothing is ever scheduled before
+// the last popped time, the expected pop order is simply the surviving
+// pairs sorted. These tests drive the wheel through ties, cancels, mid-run
+// rescheduling, rung boundaries and the overflow rung, plus the
+// wheel-specific edge paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -18,15 +23,60 @@ namespace {
 
 using PopLog = std::vector<std::pair<SimTime, int>>;
 
-TEST(SimTimerWheel, RandomizedPopOrderMatchesHeapOracle) {
-  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
-    EventQueue heap(QueueBackend::kHeap);
-    EventQueue wheel(QueueBackend::kWheel);
-    PopLog heap_log;
-    PopLog wheel_log;
-    std::vector<EventId> heap_ids;
-    std::vector<EventId> wheel_ids;
+/// Schedules through the queue and keeps the reference record: each event
+/// logs its (when, insertion index) pair when it runs, then runs its
+/// optional follow-up with that index.
+class Recorder {
+ public:
+  explicit Recorder(EventQueue& queue) : queue_(queue) {}
 
+  void schedule(SimTime when, std::function<void(std::size_t)> then = {}) {
+    const std::size_t index = scheduled_.size();
+    scheduled_.emplace_back(when, static_cast<int>(index));
+    cancelled_.push_back(false);
+    ran_.push_back(false);
+    ids_.push_back(queue_.schedule(when, [this, when, index, then = std::move(then)] {
+      popped_.emplace_back(when, static_cast<int>(index));
+      ran_[index] = true;
+      if (then) then(index);
+    }));
+  }
+  /// Cancels the event with insertion index `index`; the queue's verdict
+  /// must match whether the event was still pending.
+  void cancel(std::size_t index) {
+    const bool pending = !ran_[index] && !cancelled_[index];
+    EXPECT_EQ(queue_.cancel(ids_[index]), pending) << "cancel of event " << index;
+    if (pending) cancelled_[index] = true;
+  }
+  [[nodiscard]] std::size_t size() const { return scheduled_.size(); }
+  [[nodiscard]] std::size_t live() const {
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < size(); ++i) live += !ran_[i] && !cancelled_[i];
+    return live;
+  }
+  [[nodiscard]] const PopLog& popped() const { return popped_; }
+  /// The reference pop order: the surviving pairs, sorted.
+  [[nodiscard]] PopLog expected() const {
+    PopLog order;
+    for (std::size_t i = 0; i < size(); ++i)
+      if (!cancelled_[i]) order.push_back(scheduled_[i]);
+    std::sort(order.begin(), order.end());
+    return order;
+  }
+
+ private:
+  EventQueue& queue_;
+  PopLog scheduled_;
+  std::vector<bool> cancelled_;
+  std::vector<bool> ran_;
+  std::vector<EventId> ids_;
+  PopLog popped_;
+};
+
+TEST(SimTimerWheel, RandomizedPopOrderMatchesSortedReference) {
+  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+    EventQueue wheel;
+    Recorder rec(wheel);
     util::Rng rng(seed);
     for (int i = 0; i < 4000; ++i) {
       // Mix of sub-tick clusters (forces ties and shared buckets), the
@@ -42,33 +92,27 @@ TEST(SimTimerWheel, RandomizedPopOrderMatchesHeapOracle) {
       } else {
         when = rng.uniform(4000.0, 20000.0);  // overflow rung
       }
-      heap_ids.push_back(heap.schedule(when, [&heap_log, when, i] {
-        heap_log.emplace_back(when, i);
-      }));
-      wheel_ids.push_back(wheel.schedule(when, [&wheel_log, when, i] {
-        wheel_log.emplace_back(when, i);
-      }));
-      // Cancel a random earlier event now and then — both queues see the
-      // identical cancellation stream.
-      if (i > 0 && rng.chance(0.3)) {
-        const auto victim = static_cast<std::size_t>(rng.next_below(heap_ids.size()));
-        EXPECT_EQ(heap.cancel(heap_ids[victim]), wheel.cancel(wheel_ids[victim]));
-      }
+      rec.schedule(when);
+      // Cancel a random earlier event now and then (repeats included: a
+      // second cancel must report false).
+      if (i > 0 && rng.chance(0.3))
+        rec.cancel(static_cast<std::size_t>(rng.next_below(rec.size())));
     }
 
-    ASSERT_EQ(heap.pending(), wheel.pending());
-    while (heap.run_next()) {
-      ASSERT_TRUE(wheel.run_next());
-      ASSERT_EQ(heap.last_popped_time(), wheel.last_popped_time());
+    ASSERT_EQ(wheel.pending(), rec.live());
+    SimTime last = 0.0;
+    while (wheel.run_next()) {
+      ASSERT_GE(wheel.last_popped_time(), last);
+      last = wheel.last_popped_time();
+      ASSERT_EQ(last, rec.popped().back().first);
     }
-    EXPECT_FALSE(wheel.run_next());
-    EXPECT_EQ(heap_log, wheel_log);
+    EXPECT_EQ(rec.popped(), rec.expected());
     EXPECT_TRUE(wheel.empty());
   }
 }
 
 TEST(SimTimerWheel, TiesPopInInsertionOrder) {
-  EventQueue wheel(QueueBackend::kWheel);
+  EventQueue wheel;
   PopLog log;
   // Same instant, scheduled out of a larger interleaving; insertion
   // sequence must decide.
@@ -81,28 +125,54 @@ TEST(SimTimerWheel, TiesPopInInsertionOrder) {
   EXPECT_EQ(log, expected);
 }
 
-TEST(SimTimerWheel, MidRunReschedulingMatchesHeapOracle) {
-  // Actions that schedule follow-ups (the retransmit-timer pattern) must
-  // interleave identically on both backends.
-  PopLog logs[2];
-  for (int b = 0; b < 2; ++b) {
-    EventQueue queue(b == 0 ? QueueBackend::kHeap : QueueBackend::kWheel);
-    util::Rng rng(99);
-    std::function<void(int, double)> chain = [&](int depth, double at) {
-      logs[b].emplace_back(at, depth);
-      if (depth < 6) {
-        const double next = at + rng.uniform(0.001, 0.4);
-        queue.schedule(next, [&chain, depth, next] { chain(depth + 1, next); });
-      }
-    };
-    for (int i = 0; i < 64; ++i) {
-      const double at = rng.uniform(0.0, 2.0);
-      queue.schedule(at, [&chain, at] { chain(0, at); });
+TEST(SimTimerWheel, MidRunReschedulingMatchesSortedReference) {
+  // Actions that schedule follow-ups (the retransmit-timer pattern) and
+  // cancel a neighbour mid-run. Every follow-up lands at or after the
+  // current time with a larger insertion index, so the sorted reference
+  // still fixes the whole pop order.
+  EventQueue wheel;
+  Recorder rec(wheel);
+  util::Rng rng(99);
+  std::vector<int> depth_of;
+  std::function<void(std::size_t)> grow = [&](std::size_t index) {
+    if (depth_of[index] < 6) {
+      depth_of.push_back(depth_of[index] + 1);
+      rec.schedule(wheel.last_popped_time() + rng.uniform(0.001, 0.4), grow);
     }
-    while (queue.run_next()) {
-    }
+    if (rng.chance(0.1) && index + 1 < rec.size()) rec.cancel(index + 1);
+  };
+  for (int i = 0; i < 64; ++i) {
+    depth_of.push_back(0);
+    rec.schedule(rng.uniform(0.0, 2.0), grow);
   }
-  EXPECT_EQ(logs[0], logs[1]);
+  while (wheel.run_next()) {
+  }
+  EXPECT_EQ(rec.popped(), rec.expected());
+  EXPECT_GT(rec.size(), 64u * 3);
+}
+
+TEST(SimTimerWheel, RungBoundariesMatchSortedReference) {
+  // Times placed exactly on, and one ulp either side of, the rung-0 bucket
+  // edges, the rung-0 span edges and the coarse horizon, scheduled in
+  // reverse so the wheel has to sort and cascade every boundary.
+  constexpr double kSpan0 = EventQueue::kWheelTick * EventQueue::kFineBuckets;
+  const double horizon = kSpan0 * EventQueue::kCoarseBuckets;
+  std::vector<double> edges;
+  for (const double edge : {EventQueue::kWheelTick, 7 * EventQueue::kWheelTick, kSpan0,
+                            2 * kSpan0, 100 * kSpan0, horizon, 2 * horizon}) {
+    edges.push_back(std::nextafter(edge, 0.0));
+    edges.push_back(edge);
+    edges.push_back(std::nextafter(edge, std::numeric_limits<double>::infinity()));
+  }
+  EventQueue wheel;
+  Recorder rec(wheel);
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    rec.schedule(*it);
+    rec.schedule(*it);  // a tie on every edge
+  }
+  while (wheel.run_next()) {
+  }
+  EXPECT_EQ(rec.popped(), rec.expected());
 }
 
 TEST(SimTimerWheel, OverflowRungDrainsThroughWheel) {
@@ -110,7 +180,7 @@ TEST(SimTimerWheel, OverflowRungDrainsThroughWheel) {
   // come out in global order once the cascade reaches them.
   constexpr double kSpan0 = EventQueue::kWheelTick * EventQueue::kFineBuckets;
   const double horizon = kSpan0 * EventQueue::kCoarseBuckets;
-  EventQueue wheel(QueueBackend::kWheel);
+  EventQueue wheel;
   PopLog log;
   const std::vector<double> times = {horizon * 3.0, 0.5, horizon + 1.0,
                                      horizon + 1.0, kSpan0 * 2.0, horizon * 3.0};
@@ -132,7 +202,7 @@ TEST(SimTimerWheel, OverflowRungDrainsThroughWheel) {
 TEST(SimTimerWheel, ScheduleBehindPeekedBoundaryStillPopsInOrder) {
   // next_time() advances the cascade cursor; a subsequent schedule near the
   // (much older) clock lands behind the boundary and must still pop first.
-  EventQueue wheel(QueueBackend::kWheel);
+  EventQueue wheel;
   PopLog log;
   wheel.schedule(500.0, [&log] { log.emplace_back(500.0, 1); });
   EXPECT_DOUBLE_EQ(wheel.next_time(), 500.0);  // cascades far ahead
@@ -145,23 +215,38 @@ TEST(SimTimerWheel, ScheduleBehindPeekedBoundaryStillPopsInOrder) {
   EXPECT_EQ(log, expected);
 }
 
+TEST(SimTimerWheel, ScheduleBehindPeekedCursorInsideRungZero) {
+  // A peek moves the fine cursor to the earliest bucket; a schedule into
+  // an earlier bucket of the same cascaded range must pull the cursor
+  // back instead of being found one ring revolution late.
+  EventQueue wheel;
+  Recorder rec(wheel);
+  rec.schedule(0.5);
+  EXPECT_DOUBLE_EQ(wheel.next_time(), 0.5);
+  rec.schedule(0.3);
+  rec.schedule(0.3 + EventQueue::kWheelTick * EventQueue::kFineBuckets);
+  EXPECT_DOUBLE_EQ(wheel.next_time(), 0.3);
+  while (wheel.run_next()) {
+  }
+  EXPECT_EQ(rec.popped(), rec.expected());
+}
+
 TEST(SimTimerWheel, CancelHeavyWheelIsCompacted) {
-  EventQueue wheel(QueueBackend::kWheel);
+  EventQueue wheel;
   std::vector<EventId> ids;
   for (int i = 0; i < 4096; ++i)
     ids.push_back(wheel.schedule(0.001 * i, [] {}));
   for (std::size_t i = 0; i < ids.size(); i += 2) wheel.cancel(ids[i]);
   EXPECT_EQ(wheel.pending(), 2048u);
-  // Same invariant the heap backend pins: corpses never exceed half the
-  // stored entries (plus the small floor).
+  // Corpses never exceed half the stored entries (plus the small floor).
   EXPECT_LE(wheel.heap_size(), std::max<std::size_t>(2 * wheel.pending(), 64));
   std::size_t ran = 0;
   while (wheel.run_next()) ++ran;
   EXPECT_EQ(ran, 2048u);
 }
 
-TEST(SimTimerWheel, ErrorsMatchHeapSemantics) {
-  EventQueue wheel(QueueBackend::kWheel);
+TEST(SimTimerWheel, ErrorsOnEmptyPastAndUnknown) {
+  EventQueue wheel;
   EXPECT_THROW(static_cast<void>(wheel.next_time()), std::logic_error);
   EXPECT_FALSE(wheel.run_next());
   EXPECT_THROW(wheel.schedule(1.0, nullptr), std::invalid_argument);
@@ -173,7 +258,7 @@ TEST(SimTimerWheel, ErrorsMatchHeapSemantics) {
 }
 
 TEST(SimTimerWheel, ReschedulingAtLastPoppedTimeIsAllowed) {
-  EventQueue wheel(QueueBackend::kWheel);
+  EventQueue wheel;
   PopLog log;
   wheel.schedule(1.0, [&] {
     log.emplace_back(1.0, 0);
@@ -183,11 +268,6 @@ TEST(SimTimerWheel, ReschedulingAtLastPoppedTimeIsAllowed) {
   }
   const PopLog expected = {{1.0, 0}, {1.0, 1}};
   EXPECT_EQ(log, expected);
-}
-
-TEST(SimTimerWheel, BackendIsReported) {
-  EXPECT_EQ(EventQueue{}.backend(), QueueBackend::kHeap);
-  EXPECT_EQ(EventQueue(QueueBackend::kWheel).backend(), QueueBackend::kWheel);
 }
 
 }  // namespace
