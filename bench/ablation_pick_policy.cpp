@@ -23,10 +23,12 @@ int main(int argc, char** argv) {
       config.peers = 200;
       config.roots = 50;
     }
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     const auto rows = analysis::run_pick_policy_ablation(config);
     const auto table = analysis::pick_policy_table(rows);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== A2: within-region delegate choice (paper: median) ===\n"

@@ -24,10 +24,12 @@ int main(int argc, char** argv) {
     config.k = static_cast<std::size_t>(flags.get_int("k", 3));
     config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     if (flags.get_bool("quick", false)) config.peers = 200;
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     const auto rows = analysis::run_churn_comparison(config);
     const auto table = analysis::churn_table(rows);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== A3: departures — lifetime-aware tree vs random spanning tree ===\n"

@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
     const auto dims = static_cast<std::size_t>(flags.get_int("dims", 2));
     const auto retries = static_cast<std::size_t>(flags.get_int("retries", 10));
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     util::Rng rng(seed);
     const auto points = geometry::random_points(rng, peers, dims);
@@ -52,7 +54,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Extension: reliable dissemination over the S2 tree ===\n"

@@ -29,10 +29,12 @@ int main(int argc, char** argv) {
     config.dims.clear();
     for (const auto d : flags.get_int_list("dims", {2, 3, 4, 5}))
       config.dims.push_back(static_cast<std::size_t>(d));
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     const auto rows = analysis::run_fig1b(config);
     const auto table = analysis::fig1b_table(rows);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Fig 1(b): longest root-to-leaf multicast path vs dimension ===\n"

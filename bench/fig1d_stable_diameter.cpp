@@ -31,10 +31,12 @@ int main(int argc, char** argv) {
       config.k_max = 8;
       config.dims = {2, 5, 10};
     }
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     const auto rows = analysis::run_stability_sweep(config);
     const auto table = analysis::stability_table(rows, /*diameter_panel=*/true);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Fig 1(d): stable-tree diameter vs K ===\n"

@@ -30,10 +30,12 @@ int main(int argc, char** argv) {
       config.k_max = 8;
       config.dims = {2, 5, 10};
     }
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     const auto rows = analysis::run_stability_sweep(config);
     const auto table = analysis::stability_table(rows, /*diameter_panel=*/false);
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Fig 1(e): stable-tree max degree vs K ===\n"

@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     const auto peer_counts = flags.get_int_list("peer-counts", {16, 32, 64});
     const auto br_values = flags.get_int_list("br-values", {2, 3, 4});
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     const overlay::EmptyRectSelector selector;
     util::Table table({"N", "BR", "build_announce_msgs", "link_msgs", "sim_seconds",
@@ -55,7 +57,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Extension: gossip overlay-maintenance cost (DES) ===\n"

@@ -393,6 +393,22 @@ void BM_GraftCursorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_GraftCursorStep)->Arg(200)->Arg(1000);
 
+// Grid-kNN knowledge sets (k = 16, 3-D) over 10k and 100k uniform peers:
+// the query loop behind every local-knowledge overlay build. Items are
+// queries, so items/s is queries/s; per-query work is O(k) expected, and
+// the validator prints the 10k/100k throughput ratio. Points are drawn
+// once per size and shared by every repetition.
+void BM_GridKnn(benchmark::State& state) {
+  static std::map<std::size_t, std::vector<geometry::Point>> point_sets;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto it = point_sets.find(n);
+  if (it == point_sets.end()) it = point_sets.emplace(n, make_points(n, 3)).first;
+  for (auto _ : state) benchmark::DoNotOptimize(overlay::grid_knn(it->second, 16));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_GridKnn)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+
 // One group-tree build over 64 fixed members — the peers nearest the root
 // (peer 0), like the neighbourhood groups of the 100k sweep — on grid-kNN
 // overlays (k = 16) of 10k and 100k peers. Tree state and work scale with

@@ -35,6 +35,8 @@
 //        --trace=FILE --snapshot=FILE --snapshot-interval=T
 //        --hot-group --replicas=1,2,4 --publisher-batch-window=W
 //        --graft-prefix-batch
+// A flag the chosen mode never reads (a typo, --replicas without
+// --hot-group, a retired mode such as --simcore) exits 1 and names it.
 //
 // Hot group (replica-sharded roots PR): --hot-group prices the single-hot-
 // group regime — ONE group, every eligible peer subscribed, burst
@@ -1629,20 +1631,22 @@ int main(int argc, char** argv) {
     // Defaults make the workload the regime replica sharding exists for:
     // bursts of 8 coalesced at both ends (root batching + publisher
     // batching) with prefix-batched grafts on.
+    std::vector<std::size_t> replica_axis;
     if (hot_group) {
       if (!flags.has("publishes")) params.publishes = 64;
       if (!flags.has("pub-burst")) params.pub_burst = 8;
       if (!flags.has("batch-window")) params.batch_window = 0.05;
       if (!flags.has("publisher-batch-window")) params.publisher_batch_window = 0.02;
       if (!flags.has("graft-prefix-batch")) params.graft_prefix_batch = true;
-      const auto replica_list = flags.get_int_list("replicas", {1, 2, 4});
-      std::vector<std::size_t> axis;
-      for (const std::int64_t r : replica_list) {
+      for (const std::int64_t r : flags.get_int_list("replicas", {1, 2, 4})) {
         if (r < 1) throw std::invalid_argument("--replicas entries must be >= 1");
-        axis.push_back(static_cast<std::size_t>(r));
+        replica_axis.push_back(static_cast<std::size_t>(r));
       }
-      return run_hot_group(params, dims, csv, json_path, std::move(axis));
     }
+    // Every flag any mode reads has been read by now; anything else (a
+    // typo, --replicas outside --hot-group, a retired mode) is an error.
+    flags.reject_unread();
+    if (hot_group) return run_hot_group(params, dims, csv, json_path, std::move(replica_axis));
 
     // Graft-cost, latency, and root-kill build one overlay per pinned seed
     // themselves; dispatch before paying for the shared overlay below.

@@ -28,6 +28,8 @@ int main(int argc, char** argv) {
     const auto dims = static_cast<std::size_t>(flags.get_int("dims", 2));
     const auto trials = static_cast<std::size_t>(flags.get_int("trials", 50));
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     util::Rng rng(seed);
     const auto points = geometry::random_points(rng, peers, dims);
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
           .add_cell(coverage_ok ? "yes" : "NO");
     }
 
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Extension: range-zone multicast cost vs target size ===\n"

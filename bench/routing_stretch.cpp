@@ -30,10 +30,13 @@ int main(int argc, char** argv) {
         flags.get_int("peers", flags.get_bool("quick", false) ? 300 : 1000));
     const auto pairs = static_cast<std::size_t>(flags.get_int("pairs", 500));
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+    const auto dims_list = flags.get_int_list("dims", {2, 3, 4, 5});
+    const bool csv = flags.get_bool("csv", false);
+    flags.reject_unread();
 
     util::Table table({"D", "delivery_rate", "avg_unicast_stretch", "max_unicast_stretch",
                        "sp_tree_depth", "bfs_tree_depth", "depth_stretch"});
-    for (const auto d : flags.get_int_list("dims", {2, 3, 4, 5})) {
+    for (const auto d : dims_list) {
       const auto dims = static_cast<std::size_t>(d);
       util::Rng rng(seed ^ (dims * 0x9e37ULL));
       const auto points = geometry::random_points(rng, peers, dims);
@@ -74,7 +77,7 @@ int main(int argc, char** argv) {
                       2);
     }
 
-    if (flags.get_bool("csv", false)) {
+    if (csv) {
       table.print_csv(std::cout);
     } else {
       std::cout << "=== Extension: path stretch vs the hop-count optimum ===\n"

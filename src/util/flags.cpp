@@ -29,39 +29,53 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
-bool Flags::has(const std::string& name) const { return values_.count(name) > 0; }
+const std::string* Flags::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+void Flags::reject_unread() const {
+  std::string unread;
+  for (const auto& [name, value] : values_)
+    if (read_.count(name) == 0) unread += (unread.empty() ? "--" : ", --") + name;
+  if (!unread.empty())
+    throw std::invalid_argument("unrecognised flag(s) for this program or mode: " + unread);
+}
+
+bool Flags::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::string Flags::get_string(const std::string& name, const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   try {
-    return std::stoll(it->second);
+    return std::stoll(*value);
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                it->second + "'");
+                                *value + "'");
   }
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   try {
-    return std::stod(it->second);
+    return std::stod(*value);
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
+                                *value + "'");
   }
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  const std::string& text = *value;
   if (text == "true" || text == "1" || text == "yes" || text == "on") return true;
   if (text == "false" || text == "0" || text == "no" || text == "off") return false;
   throw std::invalid_argument("flag --" + name + " expects a boolean, got '" + text + "'");
@@ -69,11 +83,11 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 
 std::vector<std::int64_t> Flags::get_int_list(
     const std::string& name, const std::vector<std::int64_t>& fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   std::vector<std::int64_t> out;
   std::string token;
-  for (char ch : it->second + ",") {
+  for (char ch : *value + ",") {
     if (ch == ',') {
       if (!token.empty()) {
         out.push_back(std::stoll(token));

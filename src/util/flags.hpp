@@ -1,9 +1,13 @@
 // Minimal command-line flag parsing for the bench/example binaries.
 // Supports --name=value and --name value; bool flags accept bare --name.
+// Every lookup records the name it asked for, so a program can reject the
+// flags it never reads (a typo, or a mode that no longer exists) instead of
+// running its default workload and exiting 0.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,6 +29,11 @@ class Flags {
   [[nodiscard]] std::vector<std::int64_t> get_int_list(
       const std::string& name, const std::vector<std::int64_t>& fallback) const;
 
+  /// Throws std::invalid_argument naming every flag that was passed but
+  /// never looked up through has() or a get_*(). Call it once the program
+  /// has read every flag its mode understands, before doing any work.
+  void reject_unread() const;
+
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
@@ -32,7 +41,11 @@ class Flags {
 
  private:
   std::string program_;
+  /// values_ lookup that also marks `name` as read.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace geomcast::util {
 namespace {
@@ -92,6 +93,35 @@ TEST(FlagsTest, HasDetectsPresence) {
 TEST(FlagsTest, LastValueWins) {
   const auto flags = make_flags({"--n=1", "--n=2"});
   EXPECT_EQ(flags.get_int("n", 0), 2);
+}
+
+TEST(FlagsTest, RejectUnreadNamesFlagsNeverLookedUp) {
+  const auto flags = make_flags({"--peers=5", "--simcore", "--typo", "3"});
+  EXPECT_EQ(flags.get_int("peers", 0), 5);
+  try {
+    flags.reject_unread();
+    FAIL() << "unread flags were accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("--simcore"), std::string::npos) << message;
+    EXPECT_NE(message.find("--typo"), std::string::npos) << message;
+    EXPECT_EQ(message.find("--peers"), std::string::npos) << message;
+  }
+}
+
+TEST(FlagsTest, RejectUnreadAcceptsEveryLookupKind) {
+  // has() counts as reading a flag, and so does a lookup whose value is
+  // never used; flags that were never passed are not an error.
+  const auto flags = make_flags({"--a=1", "--b=x", "--c=0.5", "--d", "--e=1,2", "--f=3"});
+  (void)flags.get_int("a", 0);
+  (void)flags.get_string("b", "");
+  (void)flags.get_double("c", 0.0);
+  (void)flags.get_bool("d", false);
+  (void)flags.get_int_list("e", {});
+  (void)flags.has("f");
+  (void)flags.get_int("absent", 0);
+  EXPECT_NO_THROW(flags.reject_unread());
+  EXPECT_NO_THROW(make_flags({}).reject_unread());
 }
 
 }  // namespace
