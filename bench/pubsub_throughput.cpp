@@ -1,1326 +1,255 @@
-// Pub/sub scaling bench: N groups × M subscribers × churn on one overlay.
-//
-// Exercises the whole groups/ pipeline — rendezvous routing, lazy pruned
-// tree construction, cache reuse across publishes, incremental
-// graft/repair under departures, the QoS 1 per-hop ack/retransmit plane,
-// and the QoS 2 end-to-end NACK/gap-repair plane — and reports the
-// numbers the scaling trajectory cares about: publishes/sec (wall clock),
-// delivery ratio, per-publish payload cost versus full-overlay
-// dissemination (N-1 messages), tree build/repair message overhead,
-// retransmissions per publish, and the repair plane's NACK/repair traffic
-// with gap latency.
-//
-// Mid-wave departure injection (--midwave=K): after the churn phase, K
-// dedicated waves publish (round-robin over the groups, from each group's
-// root so the wave start is exact) and the forwarding relay with the most
-// subscriber descendants is departed just before that wave reaches it —
-// the severed-subtree failure QoS 2 exists to repair; two flush waves per
-// kill give the subtrees the later traffic gap detection needs.
-//
-// Acceptance gates:
-//  * (ISSUE 1) with >= 32 groups and >= 1000 peers under churn at zero
-//    loss, delivery ratio >= 0.99 and pruned per-publish payload strictly
-//    below full-overlay dissemination;
-//  * (ISSUE 2, --sweep) under 5% per-link loss, QoS 1 delivery ratio
-//    >= 0.99 while QoS 0 is visibly lower;
-//  * (ISSUE 3, --sweep) with mid-wave forwarder departures at 5% loss,
-//    QoS 2 delivery ratio >= 0.9999 while QoS 1 drops below it, and the
-//    retained-buffer peak stays within the configured retention window.
-//
-// Flags: --peers=N --dims=D --groups=G --subscribers=M --publishes=P
-//        --departures=C --midwave=K --loss=p --qos=0|1|2 --retries=R
-//        --ack-timeout=T --retention=W --seed=S --csv --quick --sweep
-//        --batch-window=W --max-batch=B --pub-burst=K --json=FILE
-//        --batch-compare --graft-cost --latency --root-kill
-//        --trace=FILE --snapshot=FILE --snapshot-interval=T
-//        --hot-group --replicas=1,2,4 --publisher-batch-window=W
-//        --graft-prefix-batch
-// A flag the chosen mode never reads (a typo, --replicas without
-// --hot-group, a retired mode such as --simcore) exits 1 and names it.
-//
-// Hot group (replica-sharded roots PR): --hot-group prices the single-hot-
-// group regime — ONE group, every eligible peer subscribed, burst
-// publishes — swept over the PubSubConfig::root_replicas axis
-// (--replicas, default {1, 2, 4}) at every QoS rung, with root-side AND
-// publisher-side batching plus prefix-batched grafts on by default (the
-// stack the hot-root load multiplies through). R=1 is the oracle: gates
-// are bit-identical delivered (peer, group, seq) sets per qos, hot-root
-// (sent + received) load max flattening monotonically along the axis, and
-// a >= 1.8x drop at the axis maximum (QoS 1 cells). BENCH_hotgroup.json
-// is the checked-in full-size run.
-//
-// Observability (ISSUE 6): --trace=FILE writes the single-scenario run's
-// wave-lifecycle trace as Chrome trace-event JSON (open in Perfetto /
-// chrome://tracing); --snapshot=FILE attaches the periodic obs::Sampler
-// and writes its time series (deliveries/sec, in-flight grafts, retained
-// seqs, event-queue depth, per-peer load). Every mode's --json now carries
-// the publish->delivery / gap-repair / graft latency histograms and the
-// full NetworkStats block (sent_by_kind named through the message-kind
-// registry, per-peer send/receive hot-peer summaries).
-//
-// Latency pinning (--latency): 3 pinned seeds x QoS {0,1,2} x loss
-// {0, 0.05} on per-seed overlays, churn off so the distribution is a pure
-// function of the (qos, loss) cell. Gates are structural — p50 <= p90 <=
-// p99 <= max, histogram count == deliveries, per-peer load max >= p99 —
-// and the full-size run is checked in as BENCH_latency.json.
-//
-// Graft cost (ISSUE 5): --graft-cost prices the distributed control plane
-// on a graft-heavy workload (half the members subscribe AFTER the warm
-// publish, so every one of them is a zone-descent graft against the clean
-// cached tree). Per pinned seed it runs the routed descent at zero loss —
-// gating on every group's final tree edge set and delivery flags equalling
-// a fresh build_group_tree over the final membership — plus a cell at 5%
-// loss with mid-graft kills, gating on every surviving registered member
-// ending up spanned (graft_aborts each resolved by abort-and-resubscribe
-// plus rebuild+rescue). The table reports control_envelopes, graft hops,
-// mean hops per graft, retries, and aborts; --json pins it machine-
-// readable (BENCH_graft_cost.json is the checked-in full-size run).
-//
-// Root failover (warm failover PR): --root-kill prices root death at
-// QoS 2 with batching on. Per pinned seed (three of them, each with its
-// own overlay) it runs the root-kill workload — warm-up waves, a killed
-// wave whose best relay is severed mid-flight and whose root dies right
-// after the flush holding a pending batch, then post-kill traffic that
-// reveals the severed subtree's gap — once with cold rebuild and once
-// with warm failover, plus a no-kill control pair. Gates: the cold cell
-// shows the dip (abandoned gap seqs, delivery_ratio < 1, pending batch
-// lost), the warm cell erases it (ratio == 1.0, zero abandons, pending
-// batch inherited, migration envelopes > 0 pricing the handoff), warm
-// resumes deliveries strictly faster after the kill, and the no-kill
-// pair delivers bit-identical sets (the knob is passive without deaths).
-// BENCH_failover.json is the checked-in full-size run.
-//
-// --sweep ignores --loss/--qos and instead runs the same scenario for
-// QoS 0, 1 and 2 at each loss in {0, 0.05, 0.15}, printing one row per
-// (loss, qos) cell — the loss axis of the reliability story. In sweep
-// mode the random churn departures are replaced by mid-wave forwarder
-// kills (--midwave, default 4): random churn removes subscribers, whose
-// in-flight waves no QoS level can deliver, which would drown the
-// subtree-repair signal the sweep gates on.
-//
-// Wave coalescing (ISSUE 4): --batch-window/--max-batch switch on root-
-// side publish batching, --pub-burst=K turns the publish schedule into
-// back-to-back bursts of K from one publisher (the workload batching
-// amortises), and --batch-compare runs the burst workload at every QoS
-// rung both unbatched and batched, gating on (a) the delivered
-// (peer, group, seq) set being bit-identical and (b) payload+ack
-// envelopes shrinking >= 3x at QoS 1. --json=FILE emits the run's
-// numbers machine-readable (the perf-trajectory artifact CI uploads).
+// Pub/sub scaling bench: N groups x M subscribers on one geometric overlay,
+// priced against full dissemination (N-1 messages per publish) across QoS
+// rungs, loss, coalescing, routed grafts, root failover and sharded roots.
+// Every mode runs its cells through one runner (run_cell), writes each cell
+// with one JSON schema (the metric catalogue), prints the columns it names
+// and gates its cells in one Verdict (exit 2 on a failed gate, 1 on a bad
+// or unread flag). README.md's bench table lists each mode's flags,
+// workload, gates, checked-in BENCH_*.json and regeneration command.
 #include <algorithm>
-#include <array>
 #include <chrono>
+#include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <memory>
+#include <numeric>
 #include <optional>
-#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <thread>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include "geometry/random_points.hpp"
 #include "groups/failure_injection.hpp"
 #include "groups/pubsub.hpp"
+#include "obs/digest.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
 #include "util/flags.hpp"
-#include "util/stats.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace geomcast;
+using multicast::QoS;
+using overlay::PeerId;
+
+constexpr QoS kRungs[] = {QoS::kFireAndForget, QoS::kAcked, QoS::kEndToEnd};
 
 struct ScenarioParams {
   std::size_t peers = 1000;
+  std::size_t dims = 3;
   std::size_t group_count = 32;
   std::size_t subscribers = 32;
   std::size_t publishes = 8;
   std::size_t departures = 24;
-  std::size_t midwave = 0;  // mid-wave forwarder kills (see file comment)
-  double ack_timeout = 0.05;
-  std::size_t max_retries = 5;
-  std::size_t retention_window = 64;
-  double batch_window = 0.0;   // root-side coalescing window (0 = off)
-  std::size_t max_batch = 16;  // publishes per coalesced wave
-  std::size_t pub_burst = 1;   // publishes per burst in the schedule
-  /// Replica-sharded roots: R rendezvous anchors per group, 1 = the
-  /// historic single-root pipeline. Only --hot-group sweeps this axis.
-  std::size_t root_replicas = 1;
-  /// Publisher-side coalescing window (0 = off, the historic one-envelope-
-  /// per-publish path).
-  double publisher_batch_window = 0.0;
-  /// Same-instant graft descent steps sharing a hop ride one carrier.
-  bool graft_prefix_batch = false;
+  std::size_t midwave = 0;    // mid-wave forwarder kill rounds
+  std::size_t pub_burst = 1;  // publishes per burst in the schedule
   std::uint64_t seed = 42;
+  groups::PubSubConfig config;  // the protocol knobs; run_cell sets seed, qos and loss
 };
 
-/// One application-level delivery, the unit the batching-equivalence gate
-/// compares: batched and unbatched runs must deliver the identical set.
-using DeliveryKey = std::tuple<overlay::PeerId, groups::GroupId, std::uint64_t>;
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
 
-struct ScenarioOutcome {
+struct Overlay {
+  overlay::OverlayGraph graph;
+  double build_secs;  // timed around build_equilibrium only
+};
+
+/// The overlay every mode runs on: params.peers uniform points in
+/// [0, 100)^dims drawn from `seed`, empty-rect equilibrium.
+Overlay overlay_for(const ScenarioParams& params, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto points = geometry::random_points(rng, params.peers, params.dims, 100.0);
+  const auto start = std::chrono::steady_clock::now();
+  auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
+  return {std::move(graph), seconds_since(start)};
+}
+
+// ---------------------------------------------------------------- cells ----
+
+/// What one cell runs: the workload (params.seed is the cell's seed) and
+/// the axes the modes sweep.
+struct CellSpec {
+  std::string name = "";  // row label where the axes alone do not name the cell
+  ScenarioParams params;
+  QoS qos = QoS::kFireAndForget;
+  double loss = 0.0;
+  bool warm_failover = false;
+  bool root_kill = false;       // --root-kill: kill each group's root mid-wave
+  std::size_t graft_kills = 0;  // --graft-cost: departures inside the graft window
+  obs::TraceSink* trace = nullptr;
+  bool snapshot = false;  // attach an obs::Sampler
+  double snapshot_interval = 0.5;
+};
+
+struct Delivery {
+  PeerId peer;
+  groups::GroupId group;
+  std::uint64_t seq;
+  double time;
+  [[nodiscard]] auto key() const { return std::tie(peer, group, seq); }
+};
+
+struct CellResult {
+  CellSpec spec;
+  double overlay_secs = 0.0;
   groups::GroupStats total;
   sim::NetworkStats net;
   std::size_t events = 0;
-  std::size_t scheduled_departures = 0;
-  std::size_t midwave_kills = 0;      // kills that found a relay to sever
-  std::size_t severed_subscribers = 0;  // subscriber descendants cut off
-  std::size_t retained_peak = 0;
-  std::size_t retained_entries = 0;   // entries left across all buffers
-  std::size_t retained_buffers = 0;   // live (peer, group) buffers
   double run_secs = 0.0;
-
-  [[nodiscard]] double payload_per_publish() const {
-    return total.publishes ? static_cast<double>(total.payload_messages) /
-                                 static_cast<double>(total.publishes)
-                           : 0.0;
-  }
-  [[nodiscard]] double retx_per_publish() const {
-    return total.publishes ? static_cast<double>(total.retransmissions) /
-                                 static_cast<double>(total.publishes)
-                           : 0.0;
-  }
+  /// The probe's reports in arrival order, until seal_deliveries digests them.
+  std::vector<Delivery> delivered;
+  std::string digest;
+  std::size_t delivered_keys = 0;
+  bool duplicate_keys = false;
+  bool identical = true;  // same delivered set as the mode's reference cell
+  std::size_t retained_peak = 0, retained_entries = 0, retained_buffers = 0, inflight_grafts = 0;
+  std::string snapshot_json;
+  std::size_t departures = 0;  // random departures scheduled
+  std::size_t kills = 0;       // kills scheduled or (mid-wave, root) landed on a relay
+  std::size_t severed = 0;     // subscriber descendants those kills cut off
+  double first_post_kill = -1.0;
+  bool fresh_build_ok = false, attached_ok = true;  // --graft-cost tree checks
+  std::vector<PeerId> slot_roots;  // of group 0, --hot-group only
 };
 
-/// One full run of the standard workload on a prebuilt overlay. The
-/// schedule (membership, publishes, departures) is a function of
-/// params.seed alone, so runs at different (qos, loss) points are
-/// apples-to-apples.
-ScenarioOutcome run_scenario(const overlay::OverlayGraph& graph,
-                             const ScenarioParams& params, multicast::QoS qos,
-                             double loss,
-                             std::set<DeliveryKey>* delivered_out = nullptr,
-                             obs::TraceSink* trace_sink = nullptr,
-                             std::string* snapshot_json = nullptr,
-                             double snapshot_interval = 0.5) {
-  const std::size_t peers = graph.size();
-  groups::PubSubConfig config;
-  config.seed = params.seed;
-  config.loss.drop_probability = loss;
-  config.reliability.qos = qos;
-  config.reliability.ack_timeout = params.ack_timeout;
-  config.reliability.max_retries = params.max_retries;
-  config.groups.retention_window = params.retention_window;
-  config.batch_window = params.batch_window;
-  config.max_batch = params.max_batch;
-  config.groups.root_replicas = params.root_replicas;
-  config.publisher_batch_window = params.publisher_batch_window;
-  config.graft_prefix_batch = params.graft_prefix_batch;
-  groups::PubSubSystem system(graph, config);
-  if (trace_sink != nullptr) system.set_trace_sink(trace_sink);
-  // The sampler's ticks are simulator events, so a sampled run's
-  // sim_events count differs from an unsampled one — attach only on
-  // request; the stats themselves are unaffected.
+using C = const CellResult&;
+
+/// Runs after the timed run() and the stats grab, on the finished system.
+using Finish = std::function<void(groups::PubSubSystem&, CellResult&)>;
+/// Schedules a cell's workload on a fresh system; the returned Finish (may be
+/// empty) owns any state the schedule's callbacks read during run().
+using Schedule =
+    std::function<Finish(const overlay::OverlayGraph&, groups::PubSubSystem&, CellResult&)>;
+
+/// Reduces the probe's reports to the digest of the distinct (peer, group,
+/// seq) keys, flagging any key reported twice.
+void seal_deliveries(CellResult& cell) {
+  auto& delivered = cell.delivered;
+  std::sort(delivered.begin(), delivered.end(),
+            [](const Delivery& a, const Delivery& b) { return a.key() < b.key(); });
+  const auto end =
+      std::unique(delivered.begin(), delivered.end(),
+                  [](const Delivery& a, const Delivery& b) { return a.key() == b.key(); });
+  cell.duplicate_keys = end != delivered.end();
+  cell.delivered_keys = static_cast<std::size_t>(end - delivered.begin());
+  obs::DeliveryDigest digest;
+  for (auto d = delivered.begin(); d != end; ++d)
+    digest.add(obs::delivery_hash(d->peer, d->group, d->seq));
+  cell.digest = digest.hex();
+  std::vector<Delivery>().swap(delivered);
+}
+
+CellResult run_cell(const Overlay& overlay, const CellSpec& spec, const Schedule& schedule) {
+  groups::PubSubConfig config = spec.params.config;
+  config.seed = spec.params.seed;
+  config.loss.drop_probability = spec.loss;
+  config.reliability.qos = spec.qos;
+  config.warm_failover = spec.warm_failover;
+  groups::PubSubSystem system(overlay.graph, config);
+  CellResult cell;
+  cell.spec = spec;
+  cell.overlay_secs = overlay.build_secs;
+  if (spec.trace != nullptr) system.set_trace_sink(spec.trace);
+  // Sampler ticks are simulator events, so attach only on request.
   std::optional<obs::Sampler> sampler;
-  if (snapshot_json != nullptr) {
-    sampler.emplace(system, snapshot_interval);
+  if (spec.snapshot) {
+    sampler.emplace(system, spec.snapshot_interval);
     sampler->start();
   }
-  if (delivered_out != nullptr)
-    system.set_delivery_probe([delivered_out](overlay::PeerId peer, groups::GroupId group,
-                                              std::uint64_t seq, double) {
-      delivered_out->emplace(peer, group, seq);
-    });
-
-  // Roots are excluded from membership and churn so the bench measures
-  // steady-state group service, not rendezvous migration (which has its
-  // own counter).
-  std::vector<bool> is_root(peers, false);
-  for (std::size_t g = 0; g < params.group_count; ++g)
-    is_root[system.manager().root_of(g)] = true;
-  std::size_t non_roots = 0;
-  for (std::size_t p = 0; p < peers; ++p)
-    if (!is_root[p]) ++non_roots;
-  if (params.subscribers == 0) throw std::invalid_argument("--subscribers must be >= 1");
-  if (params.subscribers > non_roots)
-    throw std::invalid_argument(
-        "not enough non-root peers for --subscribers=" +
-        std::to_string(params.subscribers) + " (have " + std::to_string(non_roots) +
-        "); raise --peers or lower --groups");
-  const std::size_t departures = std::min(params.departures, non_roots);
-
-  // Membership: M distinct non-root subscribers per group, waves in (0, 1).
-  util::Rng rng(params.seed ^ 0x736368656475ULL);  // schedule stream
-  std::vector<std::vector<overlay::PeerId>> members(params.group_count);
-  for (std::size_t g = 0; g < params.group_count; ++g) {
-    std::vector<bool> chosen(peers, false);
-    while (members[g].size() < params.subscribers) {
-      const auto p = static_cast<overlay::PeerId>(rng.next_below(peers));
-      if (chosen[p] || is_root[p]) continue;
-      chosen[p] = true;
-      members[g].push_back(p);
-      system.subscribe_at(rng.uniform(0.0, 1.0), p, g);
-    }
-  }
-
-  // Warm publish per group at t=2 (pays the lazy builds), then churn
-  // interleaved with publish rounds over t in [3, 9). Publishers that
-  // depart before their slot are skipped, so total.publishes reports
-  // what actually ran. With --pub-burst=K the remaining publishes are
-  // issued in back-to-back bursts of K from one publisher at one instant
-  // (the hot-group workload coalescing amortises); K=1 draws the exact
-  // historic schedule, one (publisher, time) pair per publish.
-  const std::size_t burst = std::max<std::size_t>(params.pub_burst, 1);
-  for (std::size_t g = 0; g < params.group_count; ++g) {
-    system.publish_at(2.0, members[g][0], g);
-    for (std::size_t i = 1; i < params.publishes;) {
-      const auto publisher = members[g][rng.next_below(params.subscribers)];
-      const double when = rng.uniform(3.0, 9.0);
-      const std::size_t count = std::min(burst, params.publishes - i);
-      for (std::size_t j = 0; j < count; ++j) system.publish_at(when, publisher, g);
-      i += count;
-    }
-  }
-  ScenarioOutcome outcome;
-  {
-    std::vector<bool> doomed(peers, false);
-    while (outcome.scheduled_departures < departures) {
-      const auto p = static_cast<overlay::PeerId>(rng.next_below(peers));
-      if (doomed[p] || is_root[p]) continue;
-      doomed[p] = true;
-      system.depart_at(rng.uniform(3.0, 9.0), p);
-      ++outcome.scheduled_departures;
-    }
-  }
-
-  // Mid-wave forwarder kills (groups/failure_injection.hpp): dedicated
-  // waves after the churn phase, one group per kill round-robin, each
-  // severing the wave's best relay just before the wave reaches it. Kill
-  // and flush waves publish from the group's root so the wave start time
-  // is exact and the flushes cannot strand in greedy control routing
-  // around the fresh departure.
-  std::vector<bool> member_anywhere(peers, false);
-  for (const auto& group_members : members)
-    for (const overlay::PeerId p : group_members) member_anywhere[p] = true;
-  // With batching on, a root-published wave buffers for one window before
-  // it flushes; the kill must be timed against the flushed start or the
-  // relay dies before the wave exists (and the tree repairs around it).
-  const double wave_start_delay =
-      (params.batch_window > 0.0 && params.max_batch > 1) ? params.batch_window : 0.0;
-  for (std::size_t i = 0; i < params.midwave; ++i) {
-    const auto g = static_cast<groups::GroupId>(i % params.group_count);
-    const double wave_time = 10.0 + 2.0 * static_cast<double>(i);
-    const overlay::PeerId root = system.manager().root_of(g);
-    system.publish_at(wave_time, root, g);
-    groups::schedule_midwave_kill(
-        system, g, wave_time, member_anywhere,
-        [&outcome](overlay::PeerId, std::size_t severed) {
-          ++outcome.midwave_kills;
-          outcome.severed_subscribers += severed;
-        },
-        wave_start_delay);
-    system.publish_at(wave_time + 0.5, root, g);  // flushes reveal the gaps
-    system.publish_at(wave_time + 1.0, root, g);
-  }
-
-  const auto t_run = std::chrono::steady_clock::now();
-  outcome.events = system.run();
-  outcome.run_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_run).count();
-  outcome.total = system.total_stats();
-  outcome.net = system.simulator().stats();
-  outcome.retained_peak = system.manager().retained_peak();
-  outcome.retained_entries = system.manager().retained_entry_total();
-  outcome.retained_buffers = system.manager().retained_buffer_count();
-  if (snapshot_json != nullptr) *snapshot_json = sampler->to_json();
-  // Pool reset between cells: return the payload pool's cached blocks
-  // before the next cell's system constructs, so one cell's high-water
-  // mark never sits resident while another cell measures.
-  system.release_pools();
-  return outcome;
-}
-
-int run_sweep(const overlay::OverlayGraph& graph, const ScenarioParams& params,
-              bool csv, double overlay_secs) {
-  const std::vector<double> loss_axis{0.0, 0.05, 0.15};
-  // Kills and severed-subscriber counts are per cell: stochastic loss also
-  // drops subscribe control envelopes, so membership — and with it the
-  // kill-selection DFS — differs across loss points.
-  util::Table table({"loss", "qos", "kills", "severed", "publishes", "delivery_ratio",
-                     "retx_per_publish", "duplicates", "abandoned_hops",
-                     "payload_per_publish", "ack_msgs", "nacks", "repairs",
-                     "escalations", "gaps_abandoned", "mean_gap_latency", "dropped",
-                     "run_secs"});
-  double qos0_at_5 = -1.0, qos1_at_5 = -1.0, qos2_at_5 = -1.0;
-  bool qos1_ok = true, retention_ok = true;
-  for (const double loss : loss_axis) {
-    for (const auto qos : {multicast::QoS::kFireAndForget, multicast::QoS::kAcked,
-                           multicast::QoS::kEndToEnd}) {
-      const auto r = run_scenario(graph, params, qos, loss);
-      const double ratio = r.total.delivery_ratio();
-      table.begin_row()
-          .add_number(loss, 2)
-          .add_number(static_cast<double>(qos), 0)
-          .add_number(static_cast<double>(r.midwave_kills), 0)
-          .add_number(static_cast<double>(r.severed_subscribers), 0)
-          .add_number(static_cast<double>(r.total.publishes), 0)
-          .add_number(ratio, 5)
-          .add_number(r.retx_per_publish(), 2)
-          .add_number(static_cast<double>(r.total.duplicate_deliveries), 0)
-          .add_number(static_cast<double>(r.total.abandoned_hops), 0)
-          .add_number(r.payload_per_publish(), 2)
-          .add_number(static_cast<double>(r.total.ack_messages), 0)
-          .add_number(static_cast<double>(r.total.nacks_sent), 0)
-          .add_number(static_cast<double>(r.total.repairs_served), 0)
-          .add_number(static_cast<double>(r.total.repair_escalations), 0)
-          .add_number(static_cast<double>(r.total.gap_seqs_abandoned), 0)
-          .add_number(r.total.mean_gap_latency(), 4)
-          .add_number(static_cast<double>(r.net.dropped), 0)
-          .add_number(r.run_secs, 3);
-      // The QoS 1 per-hop gate covers the link-loss points up to 5%: with
-      // mid-wave kills in the workload, QoS 1's ratio also carries the
-      // severed subtrees it is blind to by design (the QoS 2 gate's
-      // subject), and at 15% loss the two effects mix on small --quick
-      // runs. The 15% row still prints for the record.
-      if (qos == multicast::QoS::kAcked && loss <= 0.05 && ratio < 0.99)
-        qos1_ok = false;
-      // Retention bound, two halves: peak occupancy within the window
-      // (fails if RetainedBuffer eviction regresses) and aggregate entries
-      // within buffers x window (fails if buffers leak entries across
-      // peers/groups) — memory O(1) per responder-group pair, not O(waves).
-      if (qos == multicast::QoS::kEndToEnd &&
-          (r.retained_peak > params.retention_window ||
-           r.retained_entries > r.retained_buffers * params.retention_window))
-        retention_ok = false;
-      if (loss == 0.05) {
-        if (qos == multicast::QoS::kFireAndForget) qos0_at_5 = ratio;
-        if (qos == multicast::QoS::kAcked) qos1_at_5 = ratio;
-        if (qos == multicast::QoS::kEndToEnd) qos2_at_5 = ratio;
-      }
-    }
-  }
-  // ISSUE 2 acceptance: at 5% per-link loss QoS 1 holds >= 0.99 while
-  // QoS 0 is visibly lower. ISSUE 3 acceptance: with mid-wave forwarder
-  // departures QoS 2 holds >= 0.9999 at 5% loss while QoS 1 — blind to a
-  // severed subtree — drops below it, and retention stays bounded.
-  const bool gap_ok = qos1_at_5 >= 0.99 && qos0_at_5 < qos1_at_5 - 0.01;
-  const bool qos2_ok = qos2_at_5 >= 0.9999 && qos1_at_5 < 0.9999;
-  const bool all_ok = qos1_ok && gap_ok && qos2_ok && retention_ok;
-  if (csv) {
-    table.print_csv(std::cout);
-    if (!all_ok)
-      std::cerr << "pubsub_throughput: sweep acceptance gate failed (qos1_ok="
-                << qos1_ok << ", gap_ok=" << gap_ok << ", qos2_ok=" << qos2_ok
-                << ", retention_ok=" << retention_ok << ")\n";
-  } else {
-    std::cout << "=== pub/sub QoS x loss sweep: " << params.group_count << " groups x "
-              << params.subscribers << " subscribers on " << graph.size() << " peers, "
-              << params.midwave
-              << " mid-wave forwarder kill rounds (per-cell kills/severed in the"
-                 " table), seed=" << params.seed << " (overlay built in "
-              << util::format_number(overlay_secs, 2) << "s) ===\n\n";
-    table.print(std::cout);
-    std::cout << "\nacceptance: QoS 1 delivery_ratio >= 0.99 at loss points <= 5%: "
-              << (qos1_ok ? "PASS" : "FAIL")
-              << "\nacceptance: at 5% loss QoS 0 visibly below QoS 1: "
-              << (gap_ok ? "PASS" : "FAIL")
-              << "\nacceptance: at 5% loss with mid-wave kills QoS 2 >= 0.9999, QoS 1 below: "
-              << (qos2_ok ? "PASS" : "FAIL")
-              << "\nacceptance: retained-buffer peak <= retention window ("
-              << params.retention_window << "): " << (retention_ok ? "PASS" : "FAIL")
-              << "\n";
-  }
-  return all_ok ? 0 : 2;
-}
-
-// ---------------------------------------------------------------- JSON ----
-
-/// One scenario cell as a JSON object — the machine-readable slice the
-/// perf trajectory (BENCH_pubsub.json) and CI artifacts are built from.
-/// Hand-rolled: every value is a number or bool, so no escaping needed.
-std::string scenario_json(const ScenarioParams& params, multicast::QoS qos,
-                          double loss, const ScenarioOutcome& r) {
-  std::ostringstream o;
-  o.precision(10);
-  o << "{\"qos\":" << static_cast<int>(qos) << ",\"loss\":" << loss
-    << ",\"batch_window\":" << params.batch_window
-    << ",\"max_batch\":" << params.max_batch
-    << ",\"pub_burst\":" << params.pub_burst
-    << ",\"publishes\":" << r.total.publishes
-    << ",\"delivery_ratio\":" << r.total.delivery_ratio()
-    << ",\"deliveries\":" << r.total.deliveries
-    << ",\"expected_deliveries\":" << r.total.expected_deliveries
-    << ",\"payload_messages\":" << r.total.payload_messages
-    << ",\"ack_messages\":" << r.total.ack_messages
-    << ",\"nacks_sent\":" << r.total.nacks_sent
-    << ",\"retransmissions\":" << r.total.retransmissions
-    << ",\"duplicate_deliveries\":" << r.total.duplicate_deliveries
-    << ",\"batch_flushes_window\":" << r.total.batch_flushes_window
-    << ",\"batch_flushes_full\":" << r.total.batch_flushes_full
-    << ",\"mean_batch_occupancy\":" << r.total.mean_batch_occupancy()
-    << ",\"envelopes_saved\":" << r.total.envelopes_saved
-    << ",\"sim_events\":" << r.events
-    << ",\"run_secs\":" << r.run_secs
-    // Observability columns (ISSUE 6): latency histograms populate
-    // unconditionally (no trace sink required), and the NetworkStats block
-    // carries the named sent_by_kind breakdown plus per-peer send/receive
-    // hot-peer summaries (max / p99 / mean).
-    << ",\"delivery_latency\":" << r.total.delivery_latency.to_json()
-    << ",\"gap_repair_latency\":" << r.total.gap_repair_latency.to_json()
-    << ",\"graft_latency\":" << r.total.graft_latency.to_json()
-    << ",\"net\":" << obs::to_json(r.net) << "}";
-  return o.str();
-}
-
-std::string params_json(const ScenarioParams& params) {
-  std::ostringstream o;
-  o.precision(10);
-  o << "{\"peers\":" << params.peers << ",\"groups\":" << params.group_count
-    << ",\"subscribers\":" << params.subscribers
-    << ",\"publishes\":" << params.publishes
-    << ",\"departures\":" << params.departures
-    << ",\"pub_burst\":" << params.pub_burst
-    << ",\"batch_window\":" << params.batch_window
-    << ",\"max_batch\":" << params.max_batch
-    << ",\"replicas\":" << params.root_replicas
-    << ",\"publisher_batch_window\":" << params.publisher_batch_window
-    << ",\"graft_prefix_batch\":" << (params.graft_prefix_batch ? "true" : "false")
-    << ",\"retention\":" << params.retention_window
-    << ",\"seed\":" << params.seed << "}";
-  return o.str();
-}
-
-void write_json_file(const std::string& path, const std::string& body) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write --json file: " + path);
-  out << body << "\n";
-}
-
-// -------------------------------------------------------- batch compare ----
-
-/// The ISSUE 4 acceptance harness: the burst workload at every QoS rung,
-/// unbatched vs. batched, gating on bit-identical delivered
-/// (peer, group, seq) sets and a >= 3x payload+ack envelope reduction at
-/// QoS 1. Churn/kills are off — equivalence is defined on stable
-/// membership (a wave in flight to a departing subscriber dies at a
-/// slightly different instant under the two pipelines, which is timing,
-/// not correctness; the lossy/churny equivalence story lives in
-/// tests/groups_batching_test.cpp where a QoS guarantee pins the set).
-int run_batch_compare(const overlay::OverlayGraph& graph, ScenarioParams params,
-                      bool csv, const std::string& json_path, double overlay_secs) {
-  params.departures = 0;
-  params.midwave = 0;
-  if (params.pub_burst <= 1) params.pub_burst = 8;
-  if (params.batch_window <= 0.0) params.batch_window = 0.1;
-  util::Table table({"qos", "batched", "publishes", "delivery_ratio", "payload_msgs",
-                     "ack_msgs", "payload+ack", "nacks", "retx", "waves", "occupancy",
-                     "envelopes_saved", "identical_set", "run_secs"});
-  std::ostringstream cells;
-  bool all_identical = true;
-  double reduction_qos1 = 0.0;
-  for (const auto qos : {multicast::QoS::kFireAndForget, multicast::QoS::kAcked,
-                         multicast::QoS::kEndToEnd}) {
-    ScenarioParams unbatched = params;
-    unbatched.batch_window = 0.0;
-    std::set<DeliveryKey> set_unbatched, set_batched;
-    const auto base = run_scenario(graph, unbatched, qos, 0.0, &set_unbatched);
-    const auto coalesced = run_scenario(graph, params, qos, 0.0, &set_batched);
-    const bool identical = set_unbatched == set_batched &&
-                           base.total.deliveries == set_unbatched.size() &&
-                           coalesced.total.deliveries == set_batched.size();
-    all_identical = all_identical && identical;
-    const auto envelopes = [](const ScenarioOutcome& r) {
-      return r.total.payload_messages + r.total.ack_messages;
-    };
-    if (qos == multicast::QoS::kAcked && envelopes(coalesced) > 0)
-      reduction_qos1 = static_cast<double>(envelopes(base)) /
-                       static_cast<double>(envelopes(coalesced));
-    for (const auto* r : {&base, &coalesced}) {
-      const bool batched = r == &coalesced;
-      table.begin_row()
-          .add_number(static_cast<double>(qos), 0)
-          .add_number(batched ? 1 : 0, 0)
-          .add_number(static_cast<double>(r->total.publishes), 0)
-          .add_number(r->total.delivery_ratio(), 5)
-          .add_number(static_cast<double>(r->total.payload_messages), 0)
-          .add_number(static_cast<double>(r->total.ack_messages), 0)
-          .add_number(static_cast<double>(envelopes(*r)), 0)
-          .add_number(static_cast<double>(r->total.nacks_sent), 0)
-          .add_number(static_cast<double>(r->total.retransmissions), 0)
-          .add_number(static_cast<double>(r->total.batch_flushes_window +
-                                          r->total.batch_flushes_full),
-                      0)
-          .add_number(r->total.mean_batch_occupancy(), 2)
-          .add_number(static_cast<double>(r->total.envelopes_saved), 0)
-          .add_number(identical ? 1 : 0, 0)
-          .add_number(r->run_secs, 3);
-      if (cells.tellp() > 0) cells << ",";
-      cells << "\n    "
-            << scenario_json(batched ? params : unbatched, qos, 0.0, *r);
-    }
-  }
-  const bool reduction_ok = reduction_qos1 >= 3.0;
-  const bool all_ok = all_identical && reduction_ok;
-  std::ostringstream json;
-  json.precision(10);
-  json << "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": \"batch_compare\",\n"
-       << "  \"params\": " << params_json(params) << ",\n  \"cells\": [" << cells.str()
-       << "\n  ],\n  \"delivered_sets_identical\": " << (all_identical ? "true" : "false")
-       << ",\n  \"payload_ack_reduction_qos1\": " << reduction_qos1
-       << ",\n  \"gate_identical\": " << (all_identical ? "true" : "false")
-       << ",\n  \"gate_reduction_ge_3x\": " << (reduction_ok ? "true" : "false") << "\n}";
-  if (!json_path.empty()) write_json_file(json_path, json.str());
-  if (csv) {
-    table.print_csv(std::cout);
-    if (!all_ok)
-      std::cerr << "pubsub_throughput: batch-compare gate failed (identical="
-                << all_identical << ", reduction=" << reduction_qos1 << ")\n";
-  } else {
-    std::cout << "=== batch compare: bursts of " << params.pub_burst << " over "
-              << params.group_count << " groups x " << params.subscribers
-              << " subscribers on " << graph.size() << " peers, batch_window="
-              << params.batch_window << ", max_batch=" << params.max_batch
-              << ", seed=" << params.seed << " (overlay built in "
-              << util::format_number(overlay_secs, 2) << "s) ===\n\n";
-    table.print(std::cout);
-    std::cout << "\nacceptance: delivered (peer, group, seq) sets bit-identical at"
-                 " QoS 0/1/2: "
-              << (all_identical ? "PASS" : "FAIL")
-              << "\nacceptance: payload+ack envelopes reduced >= 3x at QoS 1: "
-              << (reduction_ok ? "PASS" : "FAIL") << " ("
-              << util::format_number(reduction_qos1, 2) << "x)\n";
-  }
-  return all_ok ? 0 : 2;
-}
-
-// ------------------------------------------------------------ graft cost ----
-
-/// One (loss, kills) cell of the graft-cost harness.
-struct GraftCell {
-  groups::GroupStats total;
-  sim::NetworkStats net;
-  /// Every group's post-run cached tree has the edge set and delivery
-  /// flags of a fresh build over its final membership. Checked only in
-  /// lossless, kill-free cells (false elsewhere), which end with every
-  /// cache clean.
-  bool fresh_build_ok = false;
-  bool attached_ok = true;  // every surviving registered member spanned
-  std::size_t inflight = 0;
-  double run_secs = 0.0;
-
-  [[nodiscard]] double hops_per_graft() const {
-    return total.grafts ? static_cast<double>(total.graft_hops) /
-                              static_cast<double>(total.grafts)
-                        : 0.0;
-  }
-};
-
-/// The graft-heavy workload: the late half of every group's membership
-/// subscribes AFTER the warm publish built the tree, so each one exercises
-/// the zone descent; `kills` mid-graft departures land inside the late-
-/// subscribe window. Deterministic per (params.seed, loss, kills).
-GraftCell run_graft_scenario(const overlay::OverlayGraph& graph,
-                             const ScenarioParams& params, double loss,
-                             std::size_t kills) {
-  groups::PubSubConfig config;
-  config.seed = params.seed;
-  config.loss.drop_probability = loss;
-  config.reliability.qos = multicast::QoS::kAcked;
-  config.reliability.ack_timeout = params.ack_timeout;
-  config.reliability.max_retries = params.max_retries;
-  groups::PubSubSystem system(graph, config);
-  GraftCell cell;
-
-  const std::size_t peers = graph.size();
-  std::vector<bool> is_root(peers, false);
-  for (std::size_t g = 0; g < params.group_count; ++g)
-    is_root[system.manager().root_of(g)] = true;
-
-  util::Rng rng(params.seed ^ 0x67726166747363ULL);  // graft-schedule stream
-  std::vector<std::vector<overlay::PeerId>> members(params.group_count);
-  for (std::size_t g = 0; g < params.group_count; ++g) {
-    std::vector<bool> chosen(peers, false);
-    while (members[g].size() < params.subscribers) {
-      const auto p = static_cast<overlay::PeerId>(rng.next_below(peers));
-      if (chosen[p] || is_root[p]) continue;
-      chosen[p] = true;
-      const std::size_t i = members[g].size();
-      members[g].push_back(p);
-      // Early half before the warm publish (the lazy build spans them);
-      // late half in (3, 5) — every one a graft against the cached tree.
-      system.subscribe_at(i < params.subscribers / 2 ? rng.uniform(0.0, 1.0)
-                                                     : rng.uniform(3.0, 5.0),
-                          p, g);
-    }
-    system.publish_at(2.0, members[g][0], g);  // warm: pays the build
-    for (std::size_t i = 1; i < params.publishes; ++i)
-      system.publish_at(rng.uniform(6.0, 9.0),
-                        members[g][rng.next_below(params.subscribers / 2)], g);
-  }
-  {
-    std::vector<bool> doomed(peers, false);
-    std::size_t scheduled = 0;
-    while (scheduled < kills) {
-      const auto p = static_cast<overlay::PeerId>(rng.next_below(peers));
-      if (doomed[p] || is_root[p]) continue;
-      doomed[p] = true;
-      system.depart_at(rng.uniform(3.2, 4.8), p);  // inside the graft window
-      ++scheduled;
-    }
-  }
-
-  const auto t_run = std::chrono::steady_clock::now();
-  system.run();
-  cell.run_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_run).count();
-  cell.total = system.total_stats();
-  cell.net = system.simulator().stats();
-  cell.inflight = system.manager().inflight_graft_count();
-  if (loss == 0.0 && kills == 0) {
-    const auto shape = [](const groups::GroupTree& gt) {
-      std::vector<std::pair<overlay::PeerId, overlay::PeerId>> edges;
-      for (const overlay::PeerId p : gt.tree.nodes())
-        if (p != gt.tree.root()) edges.emplace_back(gt.tree.parent(p), p);
-      std::sort(edges.begin(), edges.end());
-      return std::make_pair(edges, gt.subscribers.sorted());
-    };
-    cell.fresh_build_ok = true;
-    for (std::size_t g = 0; g < params.group_count; ++g) {
-      const groups::GroupTree* gt = system.manager().cached_tree(g);
-      const auto fresh = groups::build_group_tree(graph, system.manager().root_of(g),
-                                                  system.manager().subscribers_of(g));
-      cell.fresh_build_ok = cell.fresh_build_ok && gt != nullptr && shape(*gt) == shape(fresh);
-    }
-  }
-  // The attach gate reads REFRESHED trees (an abort defers the subscriber
-  // to the next rebuild; tree() performs it) — run after the stats grab so
-  // the refresh's builds don't pollute the cell's numbers.
-  for (std::size_t g = 0; g < params.group_count; ++g) {
-    const groups::GroupTree* gt = system.manager().tree(g);
-    if (gt == nullptr) continue;
-    for (overlay::PeerId p = 0; p < peers; ++p)
-      if (system.manager().alive(p) && system.manager().is_subscribed(g, p) &&
-          !(gt->is_subscriber(p) && gt->tree.reached(p)))
-        cell.attached_ok = false;
-  }
-  return cell;
-}
-
-std::string graft_cell_json(const char* mode, double loss, std::size_t kills,
-                            const GraftCell& cell) {
-  std::ostringstream o;
-  o.precision(10);
-  o << "{\"mode\":\"" << mode << "\",\"loss\":" << loss << ",\"kills\":" << kills
-    << ",\"subscribes\":" << cell.total.subscribes
-    << ",\"grafts\":" << cell.total.grafts
-    << ",\"graft_messages\":" << cell.total.graft_messages
-    << ",\"graft_hops\":" << cell.total.graft_hops
-    << ",\"hops_per_graft\":" << cell.hops_per_graft()
-    << ",\"graft_retries\":" << cell.total.graft_retries
-    << ",\"graft_aborts\":" << cell.total.graft_aborts
-    << ",\"graft_resubscribes\":" << cell.total.graft_resubscribes
-    << ",\"stranded_rescues\":" << cell.total.stranded_rescues
-    << ",\"control_envelopes\":" << cell.net.control_envelopes
-    << ",\"net_graft_hops\":" << cell.net.graft_hops
-    << ",\"delivery_ratio\":" << cell.total.delivery_ratio()
-    << ",\"matches_fresh_build\":" << (cell.fresh_build_ok ? "true" : "false")
-    << ",\"attached_ok\":" << (cell.attached_ok ? "true" : "false")
-    << ",\"inflight_leaked\":" << cell.inflight
-    << ",\"run_secs\":" << cell.run_secs
-    << ",\"graft_latency\":" << cell.total.graft_latency.to_json()
-    << ",\"delivery_latency\":" << cell.total.delivery_latency.to_json()
-    << ",\"net\":" << obs::to_json(cell.net) << "}";
-  return o.str();
-}
-
-/// The graft-cost harness: per pinned seed (three of them), the routed
-/// descent at zero loss — every final tree must equal a fresh build over
-/// its membership, with every routed hop visible in NetworkStats — plus a
-/// churn cell (5% loss, mid-graft kills) that must leave every surviving
-/// registered member attached.
-int run_graft_cost(ScenarioParams params, std::size_t dims, bool csv,
-                   const std::string& json_path) {
-  util::Table table({"seed", "mode", "loss", "kills", "subscribes", "grafts",
-                     "graft_msgs", "graft_hops", "hops_per_graft", "retries",
-                     "aborts", "resubs", "rescues", "control_env",
-                     "delivery_ratio", "fresh_build", "attached", "run_secs"});
-  bool fresh_ok = true, visible_ok = true, attached_ok = true, leak_ok = true;
-  std::ostringstream seeds_json;
-  const std::size_t churn_kills = std::max<std::size_t>(params.departures / 4, 2);
-  for (std::uint64_t seed = params.seed; seed < params.seed + 3; ++seed) {
-    ScenarioParams cell_params = params;
-    cell_params.seed = seed;
-    util::Rng rng(seed);
-    const auto points = geometry::random_points(rng, params.peers, dims, 100.0);
-    const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-
-    const auto routed = run_graft_scenario(graph, cell_params, 0.0, 0);
-    const auto churn = run_graft_scenario(graph, cell_params, 0.05, churn_kills);
-
-    fresh_ok = fresh_ok && routed.fresh_build_ok && routed.total.grafts > 0;
-    visible_ok = visible_ok && routed.total.graft_hops > 0 &&
-                 routed.net.control_envelopes > 0 &&
-                 routed.net.graft_hops == routed.total.graft_hops &&
-                 churn.net.control_envelopes > 0;
-    attached_ok = attached_ok && routed.attached_ok && churn.attached_ok;
-    leak_ok = leak_ok && routed.inflight == 0 && churn.inflight == 0;
-
-    const struct {
-      const char* name;
-      const GraftCell* cell;
-      double loss;
-      std::size_t kills;
-    } rows[] = {{"routed", &routed, 0.0, 0},
-                {"routed+churn", &churn, 0.05, churn_kills}};
-    for (const auto& row : rows) {
-      table.begin_row()
-          .add_number(static_cast<double>(seed), 0)
-          .add_cell(row.name)
-          .add_number(row.loss, 2)
-          .add_number(static_cast<double>(row.kills), 0)
-          .add_number(static_cast<double>(row.cell->total.subscribes), 0)
-          .add_number(static_cast<double>(row.cell->total.grafts), 0)
-          .add_number(static_cast<double>(row.cell->total.graft_messages), 0)
-          .add_number(static_cast<double>(row.cell->total.graft_hops), 0)
-          .add_number(row.cell->hops_per_graft(), 2)
-          .add_number(static_cast<double>(row.cell->total.graft_retries), 0)
-          .add_number(static_cast<double>(row.cell->total.graft_aborts), 0)
-          .add_number(static_cast<double>(row.cell->total.graft_resubscribes), 0)
-          .add_number(static_cast<double>(row.cell->total.stranded_rescues), 0)
-          .add_number(static_cast<double>(row.cell->net.control_envelopes), 0)
-          .add_number(row.cell->total.delivery_ratio(), 5)
-          .add_number(row.cell->fresh_build_ok ? 1 : 0, 0)
-          .add_number(row.cell->attached_ok ? 1 : 0, 0)
-          .add_number(row.cell->run_secs, 3);
-    }
-    if (seeds_json.tellp() > 0) seeds_json << ",";
-    seeds_json << "\n    {\"seed\":" << seed << ",\"cells\":["
-               << "\n      " << graft_cell_json("routed", 0.0, 0, routed) << ","
-               << "\n      " << graft_cell_json("routed+churn", 0.05, churn_kills, churn)
-               << "\n    ]}";
-  }
-  const bool all_ok = fresh_ok && visible_ok && attached_ok && leak_ok;
-  if (!json_path.empty()) {
-    std::ostringstream json;
-    json << "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": \"graft_cost\",\n"
-         << "  \"params\": " << params_json(params) << ",\n  \"seeds\": ["
-         << seeds_json.str() << "\n  ],\n  \"gate_fresh_build\": "
-         << (fresh_ok ? "true" : "false")
-         << ",\n  \"gate_cost_visible\": " << (visible_ok ? "true" : "false")
-         << ",\n  \"gate_all_attached\": " << (attached_ok ? "true" : "false")
-         << ",\n  \"gate_no_leaked_cursors\": " << (leak_ok ? "true" : "false")
-         << "\n}";
-    write_json_file(json_path, json.str());
-  }
-  if (csv) {
-    table.print_csv(std::cout);
-    if (!all_ok)
-      std::cerr << "pubsub_throughput: graft-cost gate failed (fresh_build="
-                << fresh_ok << ", visible=" << visible_ok << ", attached="
-                << attached_ok << ", leaks=" << !leak_ok << ")\n";
-  } else {
-    std::cout << "=== graft cost: routed descent, " << params.group_count
-              << " groups x " << params.subscribers << " subscribers on "
-              << params.peers << " peers, late half grafted, seeds "
-              << params.seed << ".." << params.seed + 2 << " ===\n\n";
-    table.print(std::cout);
-    std::cout << "\nacceptance: final trees equal a fresh build over the membership"
-                 " at zero loss: "
-              << (fresh_ok ? "PASS" : "FAIL")
-              << "\nacceptance: graft cost visible in NetworkStats"
-                 " (control_envelopes, graft_hops): "
-              << (visible_ok ? "PASS" : "FAIL")
-              << "\nacceptance: all surviving subscribers attached under 5% loss"
-                 " + mid-graft kills: "
-              << (attached_ok ? "PASS" : "FAIL")
-              << "\nacceptance: no leaked in-flight graft cursors: "
-              << (leak_ok ? "PASS" : "FAIL") << "\n";
-  }
-  return all_ok ? 0 : 2;
-}
-
-// ---------------------------------------------------------- latency mode ----
-
-/// The ISSUE 6 latency-pinning harness: per pinned seed (three of them, each
-/// with its own overlay), the standard workload minus churn at every QoS
-/// rung and loss in {0, 0.05}. Churn is off so the publish->delivery
-/// distribution is a pure function of the (qos, loss) cell, not of which
-/// subscribers happened to die mid-wave. Gates are structural — the
-/// histogram quantiles must be ordered, the histogram must have counted
-/// every delivery, and the per-peer load summary must be internally
-/// consistent — so the pinned JSON (BENCH_latency.json) tracks drift
-/// without hard-coding absolute latencies into the binary.
-int run_latency(ScenarioParams params, std::size_t dims, bool csv,
-                const std::string& json_path) {
-  params.departures = 0;
-  params.midwave = 0;
-  const std::vector<double> loss_axis{0.0, 0.05};
-  util::Table table({"seed", "loss", "qos", "publishes", "deliveries",
-                     "delivery_ratio", "delivery_p50", "delivery_p90",
-                     "delivery_p99", "delivery_max", "gap_p50", "gap_p99",
-                     "send_load_max", "send_load_p99", "recv_load_max",
-                     "recv_load_p99", "run_secs"});
-  bool shape_ok = true, counts_ok = true, load_ok = true;
-  std::ostringstream cells;
-  for (std::uint64_t seed = params.seed; seed < params.seed + 3; ++seed) {
-    ScenarioParams cell_params = params;
-    cell_params.seed = seed;
-    util::Rng rng(seed);
-    const auto points = geometry::random_points(rng, params.peers, dims, 100.0);
-    const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-    for (const double loss : loss_axis) {
-      for (const auto qos : {multicast::QoS::kFireAndForget, multicast::QoS::kAcked,
-                             multicast::QoS::kEndToEnd}) {
-        const auto r = run_scenario(graph, cell_params, qos, loss);
-        const auto& h = r.total.delivery_latency;
-        shape_ok = shape_ok && h.p50() <= h.p90() && h.p90() <= h.p99() &&
-                   h.p99() <= h.max();
-        counts_ok = counts_ok && h.count() > 0 && h.p50() > 0.0 &&
-                    h.count() == r.total.deliveries;
-        const auto send = obs::summarize_load(r.net.sent_by_node);
-        const auto recv = obs::summarize_load(r.net.received_by_node);
-        load_ok = load_ok && send.max >= send.p99 && recv.max >= recv.p99 &&
-                  send.max > 0;
-        table.begin_row()
-            .add_number(static_cast<double>(seed), 0)
-            .add_number(loss, 2)
-            .add_number(static_cast<double>(qos), 0)
-            .add_number(static_cast<double>(r.total.publishes), 0)
-            .add_number(static_cast<double>(r.total.deliveries), 0)
-            .add_number(r.total.delivery_ratio(), 5)
-            .add_number(h.p50(), 4)
-            .add_number(h.p90(), 4)
-            .add_number(h.p99(), 4)
-            .add_number(h.max(), 4)
-            .add_number(r.total.gap_repair_latency.p50(), 4)
-            .add_number(r.total.gap_repair_latency.p99(), 4)
-            .add_number(static_cast<double>(send.max), 0)
-            .add_number(static_cast<double>(send.p99), 0)
-            .add_number(static_cast<double>(recv.max), 0)
-            .add_number(static_cast<double>(recv.p99), 0)
-            .add_number(r.run_secs, 3);
-        if (cells.tellp() > 0) cells << ",";
-        cells << "\n    {\"seed\":" << seed << ","
-              << scenario_json(cell_params, qos, loss, r).substr(1);
-      }
-    }
-  }
-  const bool all_ok = shape_ok && counts_ok && load_ok;
-  if (!json_path.empty()) {
-    std::ostringstream json;
-    json << "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": \"latency\",\n"
-         << "  \"params\": " << params_json(params) << ",\n  \"cells\": ["
-         << cells.str() << "\n  ],\n  \"gate_quantiles_ordered\": "
-         << (shape_ok ? "true" : "false")
-         << ",\n  \"gate_histogram_counts_deliveries\": "
-         << (counts_ok ? "true" : "false")
-         << ",\n  \"gate_load_summary_consistent\": " << (load_ok ? "true" : "false")
-         << "\n}";
-    write_json_file(json_path, json.str());
-  }
-  if (csv) {
-    table.print_csv(std::cout);
-    if (!all_ok)
-      std::cerr << "pubsub_throughput: latency gate failed (shape=" << shape_ok
-                << ", counts=" << counts_ok << ", load=" << load_ok << ")\n";
-  } else {
-    std::cout << "=== publish->delivery latency: " << params.group_count
-              << " groups x " << params.subscribers << " subscribers on "
-              << params.peers << " peers, QoS {0,1,2} x loss {0, 0.05}, seeds "
-              << params.seed << ".." << params.seed + 2 << " (churn off) ===\n\n";
-    table.print(std::cout);
-    std::cout << "\nacceptance: p50 <= p90 <= p99 <= max in every cell: "
-              << (shape_ok ? "PASS" : "FAIL")
-              << "\nacceptance: histogram count == deliveries, p50 > 0: "
-              << (counts_ok ? "PASS" : "FAIL")
-              << "\nacceptance: per-peer load summaries consistent (max >= p99 > 0): "
-              << (load_ok ? "PASS" : "FAIL") << "\n";
-  }
-  return all_ok ? 0 : 2;
-}
-
-// ------------------------------------------------------------- root kill ----
-
-/// One cell of the failover compare: the root-kill workload with warm
-/// failover on or off, or its no-kill control.
-struct FailoverCell {
-  groups::GroupStats total;
-  sim::NetworkStats net;
-  std::size_t kills = 0;    // groups whose kill found a relay to sever
-  std::size_t severed = 0;  // subscriber descendants cut off by relays
-  std::set<DeliveryKey> delivered;
-  /// Mean secs from a group's root death to its first delivery of a seq
-  /// NEWER than the killed wave (in-flight tail deliveries of the killed
-  /// wave and repairs of it don't count as "resumed service").
-  double first_post_kill = -1.0;
-  double run_secs = 0.0;
-};
-
-/// The failover workload, shared by all four cells of a seed. Per group:
-/// two warm-up waves (build the tree, initialize the subscriber windows),
-/// a killed wave at a staggered kill time, one publish landing INSIDE the
-/// successor batch window (so the root dies holding a pending batch —
-/// lost cold, inherited warm), and two post-kill publishes from a
-/// surviving member whose waves reveal the severed subtree's gap. With
-/// `kill_on`, schedule_root_kill severs the wave's best relay mid-flight
-/// and departs the root right after the flush; victim selection excludes
-/// roots, subscribers, and every group's replica candidate, so the cold
-/// and warm cells kill identical peers and the successor survives.
-FailoverCell run_failover_cell(const overlay::OverlayGraph& graph,
-                               const ScenarioParams& params, bool warm_on,
-                               bool kill_on) {
-  groups::PubSubConfig config;
-  config.seed = params.seed;
-  config.reliability.qos = multicast::QoS::kEndToEnd;
-  config.reliability.ack_timeout = params.ack_timeout;
-  config.reliability.max_retries = params.max_retries;
-  config.groups.retention_window = params.retention_window;
-  config.batch_window = params.batch_window;
-  config.max_batch = params.max_batch;
-  config.warm_failover = warm_on;
-  groups::PubSubSystem system(graph, config);
-  FailoverCell cell;
-
-  const std::size_t peers = graph.size();
-  std::vector<bool> protected_peers(peers, false);
-  for (std::size_t g = 0; g < params.group_count; ++g) {
-    protected_peers[system.manager().root_of(g)] = true;
-    const overlay::PeerId r = system.manager().replica_candidate(g);
-    if (r != overlay::kInvalidPeer) protected_peers[r] = true;
-  }
-
-  // The killed wave is always seq 2 (two single-publish warm-up batches
-  // precede it); deliveries of seq > 2 after the death mark resumed
-  // service — warm via the inherited pending batch, cold only once the
-  // post-kill publishes flow.
-  constexpr std::uint64_t kKilledSeq = 2;
-  std::vector<double> death_at(params.group_count, -1.0);
-  std::vector<double> first_after(params.group_count, -1.0);
   system.set_delivery_probe(
-      [&cell, &death_at, &first_after](overlay::PeerId p, groups::GroupId g,
-                                       std::uint64_t seq, double t) {
-        cell.delivered.emplace(p, g, seq);
-        if (g < death_at.size() && death_at[g] >= 0.0 && seq > kKilledSeq &&
-            t > death_at[g] && first_after[g] < 0.0)
-          first_after[g] = t - death_at[g];
+      [&cell](PeerId peer, groups::GroupId group, std::uint64_t seq, double time) {
+        cell.delivered.push_back({peer, group, seq, time});
       });
+  const Finish finish = schedule(overlay.graph, system, cell);
 
-  // Membership: M distinct unprotected subscribers per group, waves in
-  // (0, 1). Replica candidates stay out of membership so a promotion
-  // never turns a subscriber into its own group's root.
-  util::Rng rng(params.seed ^ 0x6661696c6f766572ULL);  // failover stream
-  std::vector<std::vector<overlay::PeerId>> members(params.group_count);
-  for (std::size_t g = 0; g < params.group_count; ++g) {
-    std::vector<bool> chosen(peers, false);
-    while (members[g].size() < params.subscribers) {
-      const auto p = static_cast<overlay::PeerId>(rng.next_below(peers));
-      if (chosen[p] || protected_peers[p]) continue;
-      chosen[p] = true;
-      members[g].push_back(p);
-      system.subscribe_at(rng.uniform(0.0, 1.0), p, g);
-    }
-  }
-  // Members join the protected set only after selection (cross-group
-  // membership overlap stays allowed); the injector reads the vector at
-  // kill-selection time, so all groups' members are excluded everywhere.
-  for (const auto& group_members : members)
-    for (const overlay::PeerId p : group_members) protected_peers[p] = true;
-
-  // Batching is forced on in this mode: the wave leaves the root one
-  // batch window after the publish lands, and the root death trails the
-  // flush far enough for the pending publish's replica sync (one publish
-  // delay + one network latency) to land first.
-  const double wave_start_delay = params.batch_window;
-  const double kRootKillDelay = 0.04;
-  for (std::size_t g = 0; g < params.group_count; ++g) {
-    const overlay::PeerId root = system.manager().root_of(g);
-    const auto group = static_cast<groups::GroupId>(g);
-    const double kill_time = 10.0 + 2.0 * static_cast<double>(g);
-    system.publish_at(2.0, root, group);
-    system.publish_at(2.3, root, group);
-    system.publish_at(kill_time, root, group);  // the killed wave
-    // Lands after the killed wave's flush, before the root death: dies
-    // pending in the root's fresh batch.
-    system.publish_at(kill_time + wave_start_delay + 0.01, root, group);
-    if (kill_on) {
-      groups::schedule_root_kill(
-          system, group, kill_time, protected_peers,
-          [&cell, &death_at, g, kill_time, wave_start_delay, kRootKillDelay](
-              overlay::PeerId, overlay::PeerId, std::size_t severed) {
-            ++cell.kills;
-            cell.severed += severed;
-            death_at[g] = kill_time + wave_start_delay + kRootKillDelay;
-          },
-          wave_start_delay, kRootKillDelay);
-    }
-    system.publish_at(kill_time + 1.0, members[g][0], group);
-    system.publish_at(kill_time + 1.3, members[g][0], group);
-  }
-
-  const auto t_run = std::chrono::steady_clock::now();
-  system.run();
-  cell.run_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_run).count();
+  const auto start = std::chrono::steady_clock::now();
+  cell.events = system.run();
+  cell.run_secs = seconds_since(start);
   cell.total = system.total_stats();
   cell.net = system.simulator().stats();
-  double sum = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t g = 0; g < params.group_count; ++g)
-    if (death_at[g] >= 0.0 && first_after[g] >= 0.0) {
-      sum += first_after[g];
-      ++counted;
-    }
-  if (counted > 0) cell.first_post_kill = sum / static_cast<double>(counted);
+  cell.retained_peak = system.manager().retained_peak();
+  cell.retained_entries = system.manager().retained_entry_total();
+  cell.retained_buffers = system.manager().retained_buffer_count();
+  cell.inflight_grafts = system.manager().inflight_graft_count();
+  if (finish) finish(system, cell);
+  if (sampler) cell.snapshot_json = sampler->to_json();
+  system.release_pools();  // no cell's pool high-water mark stays resident
+  seal_deliveries(cell);
   return cell;
 }
 
-std::string failover_cell_json(const char* name, bool warm_on, bool kill_on,
-                               const FailoverCell& r) {
-  std::ostringstream o;
-  o.precision(10);
-  o << "{\"cell\":\"" << name << "\",\"warm_failover\":" << (warm_on ? "true" : "false")
-    << ",\"kill\":" << (kill_on ? "true" : "false") << ",\"kills\":" << r.kills
-    << ",\"severed_subscribers\":" << r.severed
-    << ",\"publishes\":" << r.total.publishes
-    << ",\"deliveries\":" << r.total.deliveries
-    << ",\"expected_deliveries\":" << r.total.expected_deliveries
-    << ",\"delivery_ratio\":" << r.total.delivery_ratio()
-    << ",\"gap_seqs_detected\":" << r.total.gap_seqs_detected
-    << ",\"gap_seqs_repaired\":" << r.total.gap_seqs_repaired
-    << ",\"gap_seqs_abandoned\":" << r.total.gap_seqs_abandoned
-    << ",\"batch_publishes_lost\":" << r.total.batch_publishes_lost
-    << ",\"pending_publishes_inherited\":" << r.total.pending_publishes_inherited
-    << ",\"warm_promotions\":" << r.total.warm_promotions
-    << ",\"root_migrations\":" << r.total.root_migrations
-    << ",\"replica_sync_envelopes\":" << r.total.replica_sync_envelopes
-    << ",\"replica_sync_retries\":" << r.total.replica_sync_retries
-    << ",\"migration_envelopes\":" << r.total.migration_envelopes
-    << ",\"heartbeats_sent\":" << r.total.heartbeats_sent
-    << ",\"time_to_first_post_kill_delivery\":" << r.first_post_kill
-    << ",\"run_secs\":" << r.run_secs << ",\"net\":" << obs::to_json(r.net) << "}";
-  return o.str();
+/// Both cells delivered the identical (peer, group, seq) set, each key once.
+bool same_delivered(C a, C b) {
+  const auto clean = [](C c) {
+    return !c.duplicate_keys && c.total.deliveries == c.delivered_keys;
+  };
+  return a.digest == b.digest && clean(a) && clean(b);
 }
 
-/// The failover acceptance harness: per pinned seed, the root-kill
-/// workload cold vs warm plus a no-kill control pair, gating on the cold
-/// dip, the warm zero-dip with a priced handoff, warm's strictly faster
-/// post-kill first delivery, and no-kill bit-identity.
-int run_root_kill(ScenarioParams params, std::size_t dims, bool csv,
-                  const std::string& json_path) {
-  params.departures = 0;
-  params.midwave = 0;
-  if (params.batch_window <= 0.0) params.batch_window = 0.05;
-  if (params.max_batch <= 1) params.max_batch = 16;
-  util::Table table({"seed", "cell", "kills", "severed", "publishes",
-                     "delivery_ratio", "gaps_abandoned", "batch_lost", "inherited",
-                     "promotions", "repl_sync", "migr_env", "first_delivery",
-                     "run_secs"});
-  bool kills_ok = true, cold_ok = true, warm_ok = true, ttf_ok = true,
-       identity_ok = true;
-  std::ostringstream seeds_json;
-  for (std::uint64_t seed = params.seed; seed < params.seed + 3; ++seed) {
-    ScenarioParams cell_params = params;
-    cell_params.seed = seed;
-    util::Rng rng(seed);
-    const auto points = geometry::random_points(rng, params.peers, dims, 100.0);
-    const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
+// ------------------------------------------------------------ schedules ----
 
-    const auto cold = run_failover_cell(graph, cell_params, /*warm_on=*/false,
-                                        /*kill_on=*/true);
-    const auto warm = run_failover_cell(graph, cell_params, /*warm_on=*/true,
-                                        /*kill_on=*/true);
-    const auto base_cold = run_failover_cell(graph, cell_params, /*warm_on=*/false,
-                                             /*kill_on=*/false);
-    const auto base_warm = run_failover_cell(graph, cell_params, /*warm_on=*/true,
-                                             /*kill_on=*/false);
-
-    // Identical victims (and the same skipped-publisher schedule) across
-    // the cells, and the same migrations.
-    kills_ok = kills_ok && cold.kills > 0 && cold.kills == warm.kills &&
-               cold.severed == warm.severed &&
-               cold.total.publishes == warm.total.publishes &&
-               warm.total.root_migrations == cold.total.root_migrations;
-    // Cold rebuild: the migrated-to root's empty RetainedBuffer abandons
-    // the severed subtree's repairs, and pending batches die with their
-    // roots — a measurable dip, with zero replication traffic.
-    cold_ok = cold_ok && cold.total.gap_seqs_abandoned > 0 &&
-              cold.total.deliveries < cold.total.expected_deliveries &&
-              cold.total.batch_publishes_lost > 0 &&
-              cold.total.pending_publishes_inherited == 0 &&
-              cold.total.replica_sync_envelopes == 0 &&
-              cold.total.migration_envelopes == 0;
-    // Warm failover: zero dip, pending batches inherited instead of lost,
-    // at least one promotion per kill (two groups can rendezvous to the
-    // SAME root peer, so one death may promote several groups — and a kill
-    // staged against an already-migrated group decapitates the successor,
-    // promoting the group twice), and the handoff priced in migration
-    // envelopes.
-    warm_ok = warm_ok && warm.total.deliveries == warm.total.expected_deliveries &&
-              warm.total.gap_seqs_abandoned == 0 &&
-              warm.total.batch_publishes_lost == 0 &&
-              warm.total.pending_publishes_inherited > 0 &&
-              warm.total.warm_promotions >= warm.kills &&
-              warm.total.replica_sync_envelopes > 0 &&
-              warm.total.migration_envelopes > 0;
-    ttf_ok = ttf_ok && warm.first_post_kill >= 0.0 && cold.first_post_kill >= 0.0 &&
-             warm.first_post_kill < cold.first_post_kill;
-    // The knob-oracle guarantee at bench scale: with nobody dying, warm
-    // replication is pure extra traffic — delivered sets bit-identical.
-    identity_ok = identity_ok && base_cold.delivered == base_warm.delivered &&
-                  base_cold.total.deliveries == base_cold.delivered.size() &&
-                  base_warm.total.deliveries == base_warm.delivered.size() &&
-                  base_warm.total.replica_sync_envelopes > 0 &&
-                  base_cold.total.replica_sync_envelopes == 0;
-
-    const struct {
-      const char* name;
-      const FailoverCell* cell;
-      bool warm;
-      bool kill;
-    } rows[] = {{"cold+kill", &cold, false, true},
-                {"warm+kill", &warm, true, true},
-                {"cold", &base_cold, false, false},
-                {"warm", &base_warm, true, false}};
-    for (const auto& row : rows) {
-      table.begin_row()
-          .add_number(static_cast<double>(seed), 0)
-          .add_cell(row.name)
-          .add_number(static_cast<double>(row.cell->kills), 0)
-          .add_number(static_cast<double>(row.cell->severed), 0)
-          .add_number(static_cast<double>(row.cell->total.publishes), 0)
-          .add_number(row.cell->total.delivery_ratio(), 5)
-          .add_number(static_cast<double>(row.cell->total.gap_seqs_abandoned), 0)
-          .add_number(static_cast<double>(row.cell->total.batch_publishes_lost), 0)
-          .add_number(static_cast<double>(row.cell->total.pending_publishes_inherited),
-                      0)
-          .add_number(static_cast<double>(row.cell->total.warm_promotions), 0)
-          .add_number(static_cast<double>(row.cell->total.replica_sync_envelopes), 0)
-          .add_number(static_cast<double>(row.cell->total.migration_envelopes), 0)
-          .add_number(row.cell->first_post_kill, 4)
-          .add_number(row.cell->run_secs, 3);
-    }
-    if (seeds_json.tellp() > 0) seeds_json << ",";
-    seeds_json << "\n    {\"seed\":" << seed << ",\"cells\":[";
-    bool first = true;
-    for (const auto& row : rows) {
-      if (!first) seeds_json << ",";
-      first = false;
-      seeds_json << "\n      "
-                 << failover_cell_json(row.name, row.warm, row.kill, *row.cell);
-    }
-    seeds_json << "\n    ]}";
+/// Draws `count` distinct peers outside `excluded` by rejection sampling,
+/// handing each to on_pick(peer, index) as drawn (so the caller's own rng
+/// draws interleave in a fixed order). Throws when too few are eligible.
+template <class OnPick>
+std::vector<PeerId> draw_peers(util::Rng& rng, const std::vector<bool>& excluded,
+                               std::size_t count, const char* flag, OnPick on_pick) {
+  const std::size_t eligible = std::count(excluded.begin(), excluded.end(), false);
+  if (count > eligible)
+    throw std::invalid_argument("not enough eligible peers for " + std::string(flag) + "=" +
+                                std::to_string(count) + " (have " + std::to_string(eligible) +
+                                "); raise --peers or lower --groups");
+  std::vector<bool> taken = excluded;
+  std::vector<PeerId> picked;
+  while (picked.size() < count) {
+    const auto p = static_cast<PeerId>(rng.next_below(excluded.size()));
+    if (taken[p]) continue;
+    taken[p] = true;
+    on_pick(p, picked.size());
+    picked.push_back(p);
   }
-  const bool all_ok = kills_ok && cold_ok && warm_ok && ttf_ok && identity_ok;
-  if (!json_path.empty()) {
-    std::ostringstream json;
-    json << "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": \"root_kill\",\n"
-         << "  \"params\": " << params_json(params) << ",\n  \"seeds\": ["
-         << seeds_json.str() << "\n  ],\n  \"gate_kills_consistent\": "
-         << (kills_ok ? "true" : "false")
-         << ",\n  \"gate_cold_dip\": " << (cold_ok ? "true" : "false")
-         << ",\n  \"gate_warm_zero_dip\": " << (warm_ok ? "true" : "false")
-         << ",\n  \"gate_warm_faster_first_delivery\": " << (ttf_ok ? "true" : "false")
-         << ",\n  \"gate_no_kill_identical\": " << (identity_ok ? "true" : "false")
-         << "\n}";
-    write_json_file(json_path, json.str());
-  }
-  if (csv) {
-    table.print_csv(std::cout);
-    if (!all_ok)
-      std::cerr << "pubsub_throughput: root-kill gate failed (kills=" << kills_ok
-                << ", cold_dip=" << cold_ok << ", warm_zero_dip=" << warm_ok
-                << ", first_delivery=" << ttf_ok << ", identical=" << identity_ok
-                << ")\n";
-  } else {
-    std::cout << "=== root-kill failover: cold rebuild vs warm failover, "
-              << params.group_count << " groups x " << params.subscribers
-              << " subscribers on " << params.peers << " peers, QoS 2, batch_window="
-              << params.batch_window << ", seeds " << params.seed << ".."
-              << params.seed + 2 << " ===\n\n";
-    table.print(std::cout);
-    std::cout << "\nacceptance: cold and warm cells kill identical victims: "
-              << (kills_ok ? "PASS" : "FAIL")
-              << "\nacceptance: cold rebuild shows the dip (abandons, ratio < 1,"
-                 " pending batch lost): "
-              << (cold_ok ? "PASS" : "FAIL")
-              << "\nacceptance: warm failover erases it (ratio == 1, zero abandons,"
-                 " batch inherited, handoff priced): "
-              << (warm_ok ? "PASS" : "FAIL")
-              << "\nacceptance: warm resumes deliveries faster after the kill: "
-              << (ttf_ok ? "PASS" : "FAIL")
-              << "\nacceptance: no-kill delivered sets bit-identical warm vs cold: "
-              << (identity_ok ? "PASS" : "FAIL") << "\n";
-  }
-  return all_ok ? 0 : 2;
+  return picked;
 }
 
-// -------------------------------------------------------------- hot group ----
+/// Group roots, kept out of membership and churn: the bench measures group
+/// service, not rendezvous migration.
+std::vector<bool> root_mask(const overlay::OverlayGraph& graph, groups::PubSubSystem& system,
+                            std::size_t group_count) {
+  std::vector<bool> is_root(graph.size(), false);
+  for (std::size_t g = 0; g < group_count; ++g) is_root[system.manager().root_of(g)] = true;
+  return is_root;
+}
 
-/// One (replicas, qos) cell of the hot-group compare.
-struct HotGroupCell {
-  std::size_t replicas = 1;
-  multicast::QoS qos = multicast::QoS::kFireAndForget;
-  groups::GroupStats total;
-  sim::NetworkStats net;
-  std::set<DeliveryKey> delivered;
-  obs::LoadSummary send_load, receive_load, total_load;
-  /// max over the cell's slot roots of (sent + received) envelopes — the
-  /// busiest root replica, the number sharding exists to flatten.
-  std::uint64_t hot_root_load = 0;
-  std::vector<overlay::PeerId> slot_roots;
-  std::size_t events = 0;
-  double run_secs = 0.0;
-  bool delivered_identical = true;  // vs. the R=1 cell at the same qos
-};
+/// Subscribes params.subscribers distinct peers outside `excluded` to each
+/// group, each joining at a uniform time in (0, 1); returns the members.
+std::vector<std::vector<PeerId>> join_groups(groups::PubSubSystem& system, util::Rng& rng,
+                                             const std::vector<bool>& excluded,
+                                             const ScenarioParams& params) {
+  std::vector<std::vector<PeerId>> members;
+  for (std::size_t g = 0; g < params.group_count; ++g)
+    members.push_back(draw_peers(rng, excluded, params.subscribers, "--subscribers",
+                                 [&](PeerId p, std::size_t) {
+                                   system.subscribe_at(rng.uniform(0.0, 1.0), p, g);
+                                 }));
+  return members;
+}
 
-/// The hot-group workload: ONE group, every eligible peer subscribed, burst
-/// publishes from publishers strided across the id space (random points
-/// make the stride a spatial spread, so at R > 1 publishes land at
-/// different owner slots and the seq-lease plane is exercised). Every 8th
-/// eligible peer subscribes late — in a quiet window after the main
-/// publish phase — so the routed graft plane carries real descents; three
-/// post-graft waves then reach them, and because the grafts settle before
-/// those waves, the delivered (peer, group, seq) set is a function of the
-/// schedule alone, identical at every R. `excluded` holds the slot roots
-/// of EVERY R on the axis (plus the legacy root), so membership — and with
-/// it the oracle comparison — is the same set in every cell.
-HotGroupCell run_hot_group_cell(const overlay::OverlayGraph& graph,
-                                const ScenarioParams& params, multicast::QoS qos,
-                                std::size_t replicas,
-                                const std::vector<bool>& excluded) {
-  const std::size_t peers = graph.size();
-  groups::PubSubConfig config;
-  config.seed = params.seed;
-  config.reliability.qos = qos;
-  config.reliability.ack_timeout = params.ack_timeout;
-  config.reliability.max_retries = params.max_retries;
-  config.groups.retention_window = params.retention_window;
-  config.batch_window = params.batch_window;
-  config.max_batch = params.max_batch;
-  config.groups.root_replicas = replicas;
-  config.publisher_batch_window = params.publisher_batch_window;
-  config.graft_prefix_batch = params.graft_prefix_batch;
-  groups::PubSubSystem system(graph, config);
-  HotGroupCell cell;
-  cell.replicas = replicas;
-  cell.qos = qos;
-  system.set_delivery_probe([&cell](overlay::PeerId peer, groups::GroupId group,
-                                    std::uint64_t seq, double) {
-    cell.delivered.emplace(peer, group, seq);
-  });
-
-  const groups::GroupId g = 0;
-  util::Rng rng(params.seed ^ 0x686f7467727075ULL);  // hot-group stream
-  std::vector<overlay::PeerId> early;
-  std::size_t eligible = 0;
-  for (overlay::PeerId p = 0; p < peers; ++p) {
-    if (excluded[p]) continue;
-    if (eligible++ % 8 == 7) {
-      system.subscribe_at(10.0 + rng.uniform(0.0, 0.5), p, g);
-    } else {
-      early.push_back(p);
-      system.subscribe_at(rng.uniform(0.0, 1.0), p, g);
-    }
-  }
-
-  std::vector<overlay::PeerId> publishers;
-  const std::size_t want = std::min<std::size_t>(16, early.size());
-  for (std::size_t i = 0; i < want; ++i)
-    publishers.push_back(early[i * early.size() / want]);
-
-  system.publish_at(2.0, publishers[0], g);  // warm: pays the lazy build
+/// Publishes 1..params.publishes-1 of group g over [3, 9) in bursts of
+/// --pub-burst from one publisher at one instant (what coalescing amortises).
+void publish_bursts(groups::PubSubSystem& system, util::Rng& rng, groups::GroupId g,
+                    const std::vector<PeerId>& publishers, const ScenarioParams& params) {
   const std::size_t burst = std::max<std::size_t>(params.pub_burst, 1);
   for (std::size_t i = 1; i < params.publishes;) {
     const auto publisher = publishers[rng.next_below(publishers.size())];
@@ -1329,243 +258,813 @@ HotGroupCell run_hot_group_cell(const overlay::OverlayGraph& graph,
     for (std::size_t j = 0; j < count; ++j) system.publish_at(when, publisher, g);
     i += count;
   }
-  // Post-graft waves: always the schedule's last three commits, so the
-  // late joiners' delivered seqs are the same three in every cell.
-  for (std::size_t i = 0; i < 3; ++i)
-    system.publish_at(12.0 + static_cast<double>(i),
-                      publishers[i % publishers.size()], g);
-
-  const auto t_run = std::chrono::steady_clock::now();
-  cell.events = system.run();
-  cell.run_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_run).count();
-  cell.total = system.total_stats();
-  cell.net = system.simulator().stats();
-  for (std::uint32_t s = 0; s < replicas; ++s)
-    cell.slot_roots.push_back(system.manager().slot_root(g, s));
-  std::vector<std::uint64_t> load(peers, 0);
-  for (std::size_t p = 0; p < peers; ++p)
-    load[p] = (p < cell.net.sent_by_node.size() ? cell.net.sent_by_node[p] : 0) +
-              (p < cell.net.received_by_node.size() ? cell.net.received_by_node[p] : 0);
-  cell.send_load = obs::summarize_load(cell.net.sent_by_node);
-  cell.receive_load = obs::summarize_load(cell.net.received_by_node);
-  cell.total_load = obs::summarize_load(load);
-  for (const overlay::PeerId root : cell.slot_roots)
-    cell.hot_root_load = std::max(cell.hot_root_load, load[root]);
-  system.release_pools();
-  return cell;
 }
 
-std::string hot_group_cell_json(const HotGroupCell& cell) {
+/// The standard workload (default, --sweep, --batch-compare, --latency):
+/// members join in (0, 1), a warm publish per group at t=2 pays the lazy
+/// build, bursts and random departures follow over [3, 9), then --midwave
+/// root-published waves each lose their best relay just before arriving.
+Finish schedule_standard(const overlay::OverlayGraph& graph, groups::PubSubSystem& system,
+                         CellResult& cell) {
+  const ScenarioParams& params = cell.spec.params;
+  const std::vector<bool> is_root = root_mask(graph, system, params.group_count);
+  util::Rng rng(params.seed ^ 0x736368656475ULL);  // schedule stream
+  const auto members = join_groups(system, rng, is_root, params);
+  for (std::size_t g = 0; g < params.group_count; ++g) {
+    system.publish_at(2.0, members[g][0], g);
+    publish_bursts(system, rng, g, members[g], params);
+  }
+  cell.departures = std::min<std::size_t>(
+      params.departures, std::count(is_root.begin(), is_root.end(), false));
+  draw_peers(rng, is_root, cell.departures, "--departures",
+             [&](PeerId p, std::size_t) { system.depart_at(rng.uniform(3.0, 9.0), p); });
+
+  auto member_anywhere = std::make_shared<std::vector<bool>>(graph.size(), false);
+  for (const auto& group_members : members)
+    for (const PeerId p : group_members) (*member_anywhere)[p] = true;
+  // A batched root-published wave starts one window late; time the kill to it.
+  const auto& batching = params.config;
+  const double wave_start_delay =
+      (batching.batch_window > 0.0 && batching.max_batch > 1) ? batching.batch_window : 0.0;
+  for (std::size_t i = 0; i < params.midwave; ++i) {
+    const auto g = static_cast<groups::GroupId>(i % params.group_count);
+    const double wave_time = 10.0 + 2.0 * static_cast<double>(i);
+    const PeerId root = system.manager().root_of(g);
+    system.publish_at(wave_time, root, g);
+    groups::schedule_midwave_kill(
+        system, g, wave_time, *member_anywhere,
+        [&cell](PeerId, std::size_t severed) {
+          ++cell.kills;
+          cell.severed += severed;
+        },
+        wave_start_delay);
+    system.publish_at(wave_time + 0.5, root, g);
+    system.publish_at(wave_time + 1.0, root, g);
+  }
+  return [member_anywhere](groups::PubSubSystem&, CellResult&) {};
+}
+
+/// The graft-heavy workload (--graft-cost): the late half of each group's
+/// members joins after the warm publish, each one a routed descent against
+/// the cached tree, with spec.graft_kills departures inside that window.
+/// The finish checks the trees against a fresh build and the attachment.
+Finish schedule_grafts(const overlay::OverlayGraph& graph, groups::PubSubSystem& system,
+                       CellResult& cell) {
+  const ScenarioParams& params = cell.spec.params;
+  const std::vector<bool> is_root = root_mask(graph, system, params.group_count);
+  util::Rng rng(params.seed ^ 0x67726166747363ULL);  // graft-schedule stream
+  for (std::size_t g = 0; g < params.group_count; ++g) {
+    const auto members = draw_peers(
+        rng, is_root, params.subscribers, "--subscribers", [&](PeerId p, std::size_t i) {
+          system.subscribe_at(i < params.subscribers / 2 ? rng.uniform(0.0, 1.0)
+                                                         : rng.uniform(3.0, 5.0),
+                              p, g);
+        });
+    system.publish_at(2.0, members[0], g);
+    for (std::size_t i = 1; i < params.publishes; ++i)
+      system.publish_at(rng.uniform(6.0, 9.0), members[rng.next_below(params.subscribers / 2)],
+                        g);
+  }
+  draw_peers(rng, is_root, cell.spec.graft_kills, "--departures",
+             [&](PeerId p, std::size_t) { system.depart_at(rng.uniform(3.2, 4.8), p); });
+  cell.kills = cell.spec.graft_kills;
+
+  return [&graph](groups::PubSubSystem& system, CellResult& cell) {
+    auto& manager = system.manager();
+    const std::size_t groups = cell.spec.params.group_count;
+    if (cell.spec.loss == 0.0 && cell.spec.graft_kills == 0) {
+      const auto shape = [](const groups::GroupTree& gt) {
+        std::vector<std::pair<PeerId, PeerId>> edges;
+        for (const PeerId p : gt.tree.nodes())
+          if (p != gt.tree.root()) edges.emplace_back(gt.tree.parent(p), p);
+        std::sort(edges.begin(), edges.end());
+        return std::make_pair(edges, gt.subscribers.sorted());
+      };
+      cell.fresh_build_ok = true;
+      for (std::size_t g = 0; g < groups; ++g) {
+        const groups::GroupTree* gt = manager.cached_tree(g);
+        const auto fresh =
+            groups::build_group_tree(graph, manager.root_of(g), manager.subscribers_of(g));
+        cell.fresh_build_ok = cell.fresh_build_ok && gt != nullptr && shape(*gt) == shape(fresh);
+      }
+    }
+    // tree() performs the rebuild an abort deferred, after the stats grab.
+    for (std::size_t g = 0; g < groups; ++g) {
+      const groups::GroupTree* gt = manager.tree(g);
+      if (gt == nullptr) continue;
+      for (PeerId p = 0; p < graph.size(); ++p)
+        if (manager.alive(p) && manager.is_subscribed(g, p) &&
+            !(gt->is_subscriber(p) && gt->tree.reached(p)))
+          cell.attached_ok = false;
+    }
+  };
+}
+
+/// The root-failover workload (--root-kill): per group two warm-up waves,
+/// a killed wave whose best relay dies mid-flight and whose root dies
+/// holding a pending batch, then post-kill publishes that reveal the gap.
+/// The finish measures the mean time from a root's death to its group's
+/// first delivery of a seq newer than the killed wave.
+Finish schedule_root_kill(const overlay::OverlayGraph& graph, groups::PubSubSystem& system,
+                          CellResult& cell) {
+  const ScenarioParams& params = cell.spec.params;
+  auto spared = std::make_shared<std::vector<bool>>(graph.size(), false);
+  for (std::size_t g = 0; g < params.group_count; ++g) {
+    (*spared)[system.manager().root_of(g)] = true;
+    const PeerId r = system.manager().replica_candidate(g);
+    if (r != overlay::kInvalidPeer) (*spared)[r] = true;
+  }
+  // Replica candidates never subscribe (a promotion must not make a member
+  // its group's root); members join the spared set after every draw.
+  util::Rng rng(params.seed ^ 0x6661696c6f766572ULL);  // failover stream
+  const auto members = join_groups(system, rng, *spared, params);
+  for (const auto& group_members : members)
+    for (const PeerId p : group_members) (*spared)[p] = true;
+
+  // The wave leaves the root one batch window after its publish; the root
+  // dies late enough for the pending publish's replica sync to land first.
+  const double wave_start_delay = params.config.batch_window;
+  const double kRootKillDelay = 0.04;
+  auto death_at = std::make_shared<std::vector<double>>(params.group_count, -1.0);
+  for (std::size_t g = 0; g < params.group_count; ++g) {
+    const PeerId root = system.manager().root_of(g);
+    const double kill_time = 10.0 + 2.0 * static_cast<double>(g);
+    system.publish_at(2.0, root, g);
+    system.publish_at(2.3, root, g);
+    system.publish_at(kill_time, root, g);  // the killed wave
+    system.publish_at(kill_time + wave_start_delay + 0.01, root, g);  // dies pending
+    if (cell.spec.root_kill) {
+      groups::schedule_root_kill(
+          system, g, kill_time, *spared,
+          [&cell, death_at, g, kill_time, wave_start_delay, kRootKillDelay](
+              PeerId, PeerId, std::size_t severed) {
+            ++cell.kills;
+            cell.severed += severed;
+            (*death_at)[g] = kill_time + wave_start_delay + kRootKillDelay;
+          },
+          wave_start_delay, kRootKillDelay);
+    }
+    system.publish_at(kill_time + 1.0, members[g][0], g);
+    system.publish_at(kill_time + 1.3, members[g][0], g);
+  }
+
+  return [spared, death_at](groups::PubSubSystem&, CellResult& cell) {
+    // The killed wave is seq 2 (two single-publish warm-up batches precede
+    // it), so a delivery of seq > 2 after the death is resumed service.
+    constexpr std::uint64_t kKilledSeq = 2;
+    const std::vector<double>& death = *death_at;
+    std::vector<double> first_after(death.size(), -1.0);  // >= 0 only where death >= 0
+    for (const Delivery& d : cell.delivered)  // arrival order
+      if (d.group < death.size() && death[d.group] >= 0.0 && d.seq > kKilledSeq &&
+          d.time > death[d.group] && first_after[d.group] < 0.0)
+        first_after[d.group] = d.time - death[d.group];
+    std::vector<double> resumed;
+    for (const double t : first_after)
+      if (t >= 0.0) resumed.push_back(t);
+    if (!resumed.empty())
+      cell.first_post_kill = std::accumulate(resumed.begin(), resumed.end(), 0.0) /
+                             static_cast<double>(resumed.size());
+  };
+}
+
+/// The hot-group workload (--hot-group): one group, every peer outside
+/// `excluded` subscribed (every 8th late, after the publish phase, so
+/// grafts carry real descents), bursts from 16 strided publishers, then
+/// three waves reaching the late joiners.
+Schedule schedule_hot_group(const std::vector<bool>& excluded) {
+  return [&excluded](const overlay::OverlayGraph& graph, groups::PubSubSystem& system,
+                     CellResult& cell) -> Finish {
+    const groups::GroupId g = 0;
+    util::Rng rng(cell.spec.params.seed ^ 0x686f7467727075ULL);  // hot-group stream
+    std::vector<PeerId> early;
+    std::size_t eligible = 0;
+    for (PeerId p = 0; p < graph.size(); ++p) {
+      if (excluded[p]) continue;
+      if (eligible++ % 8 == 7) {
+        system.subscribe_at(10.0 + rng.uniform(0.0, 0.5), p, g);
+      } else {
+        early.push_back(p);
+        system.subscribe_at(rng.uniform(0.0, 1.0), p, g);
+      }
+    }
+    std::vector<PeerId> publishers;
+    const std::size_t want = std::min<std::size_t>(16, early.size());
+    for (std::size_t i = 0; i < want; ++i) publishers.push_back(early[i * early.size() / want]);
+    system.publish_at(2.0, publishers[0], g);  // warm: pays the lazy build
+    publish_bursts(system, rng, g, publishers, cell.spec.params);
+    for (std::size_t i = 0; i < 3; ++i)  // post-graft waves
+      system.publish_at(12.0 + static_cast<double>(i), publishers[i % publishers.size()], g);
+    return nullptr;
+  };
+}
+
+// ------------------------------------------------------------ reporting ----
+
+struct Json { std::string text; };  // a raw JSON fragment
+/// A cell value: a number, a flag, plain text, or raw JSON (JSON only).
+using Value = std::variant<double, bool, std::string, Json>;
+using S = groups::GroupStats;
+
+struct Metric {
+  std::string name;
+  int decimals;  // table precision
+  std::function<Value(C)> get;
+};
+
+double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
+
+obs::LoadSummary load_of(C c, bool send) {
+  return obs::summarize_load(send ? c.net.sent_by_node : c.net.received_by_node);
+}
+
+/// Per-peer (sent + received) envelopes.
+std::vector<std::uint64_t> node_load(C c) {
+  std::vector<std::uint64_t> load = c.net.sent_by_node;
+  load.resize(std::max(load.size(), c.net.received_by_node.size()), 0);
+  for (std::size_t p = 0; p < c.net.received_by_node.size(); ++p)
+    load[p] += c.net.received_by_node[p];
+  return load;
+}
+
+/// The busiest slot root's (sent + received) load, what sharding flattens.
+std::uint64_t hot_root_load(C c) {
+  const auto load = node_load(c);
+  std::uint64_t hot = 0;
+  for (const PeerId root : c.slot_roots) hot = std::max(hot, root < load.size() ? load[root] : 0);
+  return hot;
+}
+
+/// Every value a cell reports, by name, in JSON order. Each cell's JSON
+/// carries all of them, so every mode shares one cell schema; each mode's
+/// table picks its columns from here by name.
+const std::vector<Metric>& metrics() {
+  static const std::vector<Metric> catalogue = [] {
+    std::vector<Metric> m;
+    const auto num = [&m](std::string name, int decimals, std::function<double(C)> get) {
+      m.push_back({std::move(name), decimals, [get](C c) -> Value { return get(c); }});
+    };
+    const auto val = [&m](std::string name, std::function<Value(C)> get) {
+      m.push_back({std::move(name), 0, std::move(get)});
+    };
+    val("cell", [](C c) { return c.spec.name; });
+    num("seed", 0, [](C c) { return c.spec.params.seed; });
+    num("qos", 0, [](C c) { return static_cast<int>(c.spec.qos); });
+    num("loss", 2, [](C c) { return c.spec.loss; });
+    num("replicas", 0, [](C c) { return c.spec.params.config.groups.root_replicas; });
+    num("batch_window", 3, [](C c) { return c.spec.params.config.batch_window; });
+    num("max_batch", 0, [](C c) { return c.spec.params.config.max_batch; });
+    num("pub_burst", 0, [](C c) { return c.spec.params.pub_burst; });
+    val("warm_failover", [](C c) { return c.spec.warm_failover; });
+    val("kill", [](C c) { return c.spec.root_kill; });
+    num("delivery_ratio", 5, [](C c) { return c.total.delivery_ratio(); });
+#define COUNTER(field) {#field, &S::field}
+    const std::pair<const char*, std::uint64_t S::*> counters[] = {
+        COUNTER(publishes), COUNTER(deliveries), COUNTER(expected_deliveries),
+        COUNTER(duplicate_deliveries), COUNTER(payload_messages), COUNTER(ack_messages),
+        COUNTER(retransmissions), COUNTER(abandoned_hops), COUNTER(nacks_sent),
+        COUNTER(nack_deferrals), COUNTER(repairs_served), COUNTER(repair_misses),
+        COUNTER(repair_escalations), COUNTER(gap_seqs_detected), COUNTER(gap_seqs_repaired),
+        COUNTER(gap_seqs_abandoned), COUNTER(retained_evictions), COUNTER(pre_window_deliveries),
+        COUNTER(batch_flushes_window), COUNTER(batch_flushes_full), COUNTER(envelopes_saved),
+        COUNTER(batch_publishes_lost), COUNTER(control_messages), COUNTER(stranded_messages),
+        COUNTER(tree_builds), COUNTER(build_messages), COUNTER(cache_hits), COUNTER(repairs),
+        COUNTER(repair_messages), COUNTER(repair_failures), COUNTER(stranded_subscribers),
+        COUNTER(subscribes), COUNTER(grafts), COUNTER(graft_messages), COUNTER(graft_hops),
+        COUNTER(graft_retries), COUNTER(graft_aborts), COUNTER(graft_resubscribes),
+        COUNTER(stranded_rescues), COUNTER(graft_prefix_batches), COUNTER(graft_prefix_merged),
+        COUNTER(root_migrations), COUNTER(warm_promotions), COUNTER(pending_publishes_inherited),
+        COUNTER(replica_sync_envelopes), COUNTER(replica_sync_retries),
+        COUNTER(migration_envelopes), COUNTER(heartbeats_sent), COUNTER(seq_lease_requests),
+        COUNTER(seq_leases_granted), COUNTER(seq_grants_lost), COUNTER(shard_waves),
+        COUNTER(shard_handoffs), COUNTER(publisher_batches), COUNTER(publisher_envelopes_saved)};
+#undef COUNTER
+    for (const auto& [name, field] : counters)
+      num(name, 0, [field](C c) { return c.total.*field; });
+    num("payload+ack", 0, [](C c) { return c.total.payload_messages + c.total.ack_messages; });
+    num("waves", 0, [](C c) { return c.total.batch_flushes_window + c.total.batch_flushes_full; });
+    num("mean_batch_occupancy", 2, [](C c) { return c.total.mean_batch_occupancy(); });
+    num("mean_gap_latency", 4, [](C c) { return c.total.mean_gap_latency(); });
+    num("maintenance_per_publish", 2, [](C c) { return c.total.maintenance_per_publish(); });
+    num("payload_per_publish", 2,
+        [](C c) { return ratio(c.total.payload_messages, c.total.publishes); });
+    num("retx_per_publish", 2,
+        [](C c) { return ratio(c.total.retransmissions, c.total.publishes); });
+    num("hops_per_graft", 2, [](C c) { return ratio(c.total.graft_hops, c.total.grafts); });
+    num("control_envelopes", 0, [](C c) { return c.net.control_envelopes; });
+    num("net_graft_hops", 0, [](C c) { return c.net.graft_hops; });
+    num("dropped", 0, [](C c) { return c.net.dropped; });
+    num("retransmitted", 0, [](C c) { return c.net.retransmitted; });
+    num("net_abandoned_hops", 0, [](C c) { return c.net.abandoned_hops; });
+    for (const auto& [prefix, h] : {std::pair{"delivery", &S::delivery_latency},
+                                    {"gap", &S::gap_repair_latency}, {"graft", &S::graft_latency}})
+      for (const auto& [suffix, q] :
+           {std::pair{"_p50", &obs::Histogram::p50}, {"_p90", &obs::Histogram::p90},
+            {"_p99", &obs::Histogram::p99}, {"_max", &obs::Histogram::max}})
+        num(std::string(prefix) + suffix, 4, [h, q](C c) { return ((c.total.*h).*q)(); });
+    num("send_load_max", 0, [](C c) { return load_of(c, true).max; });
+    num("send_load_p99", 0, [](C c) { return load_of(c, true).p99; });
+    num("recv_load_max", 0, [](C c) { return load_of(c, false).max; });
+    num("recv_load_p99", 0, [](C c) { return load_of(c, false).p99; });
+    num("total_load_max", 0, [](C c) { return obs::summarize_load(node_load(c)).max; });
+    num("total_load_p99", 0, [](C c) { return obs::summarize_load(node_load(c)).p99; });
+    num("hot_root_load", 0, hot_root_load);
+    num("departures", 0, [](C c) { return c.departures; });
+    num("kills", 0, [](C c) { return c.kills; });
+    num("severed_subscribers", 0, [](C c) { return c.severed; });
+    num("retained_peak", 0, [](C c) { return c.retained_peak; });
+    num("inflight_leaked", 0, [](C c) { return c.inflight_grafts; });
+    num("time_to_first_post_kill_delivery", 4, [](C c) { return c.first_post_kill; });
+    val("matches_fresh_build", [](C c) { return c.fresh_build_ok; });
+    val("attached_ok", [](C c) { return c.attached_ok; });
+    val("delivered_identical", [](C c) { return c.identical; });
+    num("delivered_keys", 0, [](C c) { return c.delivered_keys; });
+    val("delivered_digest", [](C c) { return c.digest; });
+    num("sim_events", 0, [](C c) { return c.events; });
+    num("run_secs", 3, [](C c) { return c.run_secs; });
+    num("publishes_per_sec", 1, [](C c) { return ratio(c.total.publishes, c.run_secs); });
+    num("overlay_secs", 3, [](C c) { return c.overlay_secs; });
+    val("slot_roots", [](C c) {
+      std::string roots = "[";
+      for (const PeerId p : c.slot_roots)
+        roots.append(roots.size() > 1 ? "," : "").append(std::to_string(p));
+      return Json{roots + "]"};
+    });
+    val("total_load", [](C c) { return Json{obs::to_json(obs::summarize_load(node_load(c)))}; });
+    val("delivery_latency", [](C c) { return Json{c.total.delivery_latency.to_json()}; });
+    val("gap_repair_latency", [](C c) { return Json{c.total.gap_repair_latency.to_json()}; });
+    val("graft_latency", [](C c) { return Json{c.total.graft_latency.to_json()}; });
+    val("net", [](C c) { return Json{obs::to_json(c.net)}; });
+    return m;
+  }();
+  return catalogue;
+}
+
+std::string json_number(double value) {
+  std::ostringstream out;
+  out.precision(10);
+  if (value == std::floor(value) && std::fabs(value) < 1e15) out << static_cast<long long>(value);
+  else out << value;
+  return out.str();
+}
+
+std::string quoted(const std::string& s) { return "\"" + s + "\""; }
+
+std::string cell_json(C cell) {
+  std::string out;
+  for (const Metric& m : metrics()) {
+    const Value value = m.get(cell);
+    out.append(out.empty() ? "{" : ",").append(quoted(m.name)).append(":");
+    if (const auto* d = std::get_if<double>(&value)) out += json_number(*d);
+    else if (const auto* b = std::get_if<bool>(&value)) out += *b ? "true" : "false";
+    else if (const auto* t = std::get_if<std::string>(&value)) out += quoted(*t);
+    else out += std::get<Json>(value).text;
+  }
+  return out + "}";
+}
+
+/// One row per cell, one column per entry of `columns`: a metric name, or
+/// "header=name" to print it under another header. No columns means every
+/// metric a table can print, as metric/value rows of a single cell.
+util::Table cell_table(const std::vector<CellResult>& cells,
+                       const std::vector<std::string_view>& columns) {
+  std::vector<std::string> headers;
+  std::vector<const Metric*> shown;
+  for (const std::string_view column : columns) {
+    const auto eq = column.find('=');
+    headers.emplace_back(column.substr(0, eq));
+    const std::string_view name = eq == std::string_view::npos ? column : column.substr(eq + 1);
+    const auto m = std::find_if(metrics().begin(), metrics().end(),
+                                [name](const Metric& metric) { return metric.name == name; });
+    if (m == metrics().end()) throw std::logic_error("no metric named " + std::string(name));
+    shown.push_back(&*m);
+  }
+  for (const Metric& m : metrics())
+    if (columns.empty() && !std::holds_alternative<Json>(m.get(cells.front()))) {
+      headers.push_back(m.name);
+      shown.push_back(&m);
+    }
+  const auto add = [](util::Table& table, const Metric& m, C cell) {
+    const Value value = m.get(cell);
+    if (const auto* d = std::get_if<double>(&value)) table.add_number(*d, m.decimals);
+    else if (const auto* b = std::get_if<bool>(&value)) table.add_number(*b ? 1 : 0, 0);
+    else table.add_cell(std::get<std::string>(value));
+  };
+  const bool single = columns.empty();
+  util::Table table(single ? std::vector<std::string>{"metric", "value"} : headers);
+  for (std::size_t i = 0; single && i < shown.size(); ++i)
+    add(table.begin_row().add_cell(headers[i]), *shown[i], cells.front());
+  for (std::size_t r = 0; !single && r < cells.size(); ++r) {
+    table.begin_row();
+    for (const Metric* m : shown) add(table, *m, cells[r]);
+  }
+  return table;
+}
+
+struct Gate {
+  const char* key;   // JSON "gate_<key>"
+  std::string text;  // the acceptance line
+  bool ok;
+};
+
+/// A mode's gates, plus mode-level JSON values next to its cells.
+struct Verdict {
+  std::vector<Gate> gates;
+  std::vector<std::pair<const char*, std::string>> summary = {};
+};
+
+struct Output {
+  bool csv = false;
+  std::string json_path;
+};
+
+void write_file(const std::string& path, const std::string& body, const char* what) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error(std::string("cannot write ") + what + " file: " + path);
+  out << body << "\n";
+}
+
+std::string params_json(const ScenarioParams& params) {
+  const groups::PubSubConfig& config = params.config;
   std::ostringstream o;
   o.precision(10);
-  o << "{\"replicas\":" << cell.replicas << ",\"qos\":" << static_cast<int>(cell.qos)
-    << ",\"publishes\":" << cell.total.publishes
-    << ",\"delivery_ratio\":" << cell.total.delivery_ratio()
-    << ",\"deliveries\":" << cell.total.deliveries
-    << ",\"delivered_keys\":" << cell.delivered.size()
-    << ",\"control_envelopes\":" << cell.net.control_envelopes
-    << ",\"graft_hops\":" << cell.total.graft_hops
-    << ",\"grafts\":" << cell.total.grafts
-    << ",\"graft_prefix_batches\":" << cell.total.graft_prefix_batches
-    << ",\"graft_prefix_merged\":" << cell.total.graft_prefix_merged
-    << ",\"seq_lease_requests\":" << cell.total.seq_lease_requests
-    << ",\"seq_leases_granted\":" << cell.total.seq_leases_granted
-    << ",\"seq_grants_lost\":" << cell.total.seq_grants_lost
-    << ",\"shard_waves\":" << cell.total.shard_waves
-    << ",\"shard_handoffs\":" << cell.total.shard_handoffs
-    << ",\"publisher_batches\":" << cell.total.publisher_batches
-    << ",\"publisher_envelopes_saved\":" << cell.total.publisher_envelopes_saved
-    << ",\"envelopes_saved\":" << cell.total.envelopes_saved
-    << ",\"send_load\":" << obs::to_json(cell.send_load)
-    << ",\"receive_load\":" << obs::to_json(cell.receive_load)
-    << ",\"total_load\":" << obs::to_json(cell.total_load)
-    << ",\"hot_root_load\":" << cell.hot_root_load << ",\"slot_roots\":[";
-  for (std::size_t i = 0; i < cell.slot_roots.size(); ++i) {
-    if (i > 0) o << ",";
-    o << cell.slot_roots[i];
-  }
-  o << "],\"delivered_identical\":" << (cell.delivered_identical ? "true" : "false")
-    << ",\"sim_events\":" << cell.events << ",\"run_secs\":" << cell.run_secs << "}";
+  o << "{\"peers\":" << params.peers << ",\"dims\":" << params.dims
+    << ",\"groups\":" << params.group_count << ",\"subscribers\":" << params.subscribers
+    << ",\"publishes\":" << params.publishes << ",\"departures\":" << params.departures
+    << ",\"midwave\":" << params.midwave << ",\"pub_burst\":" << params.pub_burst
+    << ",\"batch_window\":" << config.batch_window << ",\"max_batch\":" << config.max_batch
+    << ",\"replicas\":" << config.groups.root_replicas
+    << ",\"publisher_batch_window\":" << config.publisher_batch_window
+    << ",\"graft_prefix_batch\":" << (config.graft_prefix_batch ? "true" : "false")
+    << ",\"retention\":" << config.groups.retention_window << ",\"seed\":" << params.seed << "}";
   return o.str();
 }
 
-/// The ISSUE 10 acceptance harness (--hot-group): one group, all eligible
-/// peers subscribed, burst publishes, swept over the root_replicas axis
-/// (default {1, 2, 4}) at every QoS rung. R=1 is the oracle: delivered
-/// (peer, group, seq) sets must be bit-identical at each qos, and the
-/// busiest root replica's (sent + received) load — the hot-root hot spot —
-/// must flatten monotonically with R and drop >= 1.8x at the axis maximum
-/// (both load gates read the QoS 1 cells, where the ack plane makes the
-/// root's per-wave cost realistic). BENCH_hotgroup.json is the checked-in
-/// full-size run; CI replays it and validates the schema.
-int run_hot_group(ScenarioParams params, std::size_t dims, bool csv,
-                  const std::string& json_path, std::vector<std::size_t> axis) {
+/// GEOMCAST_GIT_SHA, _COMPILER and _BUILD_TYPE are defined by CMake at
+/// configure time.
+std::string provenance_json() {
+  return "{\"git_sha\":" + quoted(GEOMCAST_GIT_SHA) + ",\"compiler\":" +
+         quoted(GEOMCAST_COMPILER) + ",\"build_type\":" + quoted(GEOMCAST_BUILD_TYPE) +
+         ",\"hardware_threads\":" + std::to_string(std::thread::hardware_concurrency()) + "}";
+}
+
+/// Writes the mode's JSON (when asked), prints its table and acceptance
+/// lines, and returns the exit code: 0 when every gate passes, else 2.
+int report(const char* mode, const std::string& heading, const ScenarioParams& params,
+           const std::vector<CellResult>& cells, const std::vector<std::string_view>& columns,
+           const Verdict& verdict, const Output& out) {
+  const bool all_ok = std::all_of(verdict.gates.begin(), verdict.gates.end(),
+                                  [](const Gate& gate) { return gate.ok; });
+  if (!out.json_path.empty()) {
+    std::string json = "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": " + quoted(mode) +
+                       ",\n  \"provenance\": " + provenance_json() +
+                       ",\n  \"params\": " + params_json(params);
+    for (const auto& [key, value] : verdict.summary) json += ",\n  " + quoted(key) + ": " + value;
+    json += ",\n  \"cells\": [";
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      json.append(i > 0 ? ",\n    " : "\n    ").append(cell_json(cells[i]));
+    json += "\n  ]";
+    for (const Gate& gate : verdict.gates)
+      json += ",\n  \"gate_" + std::string(gate.key) + "\": " + (gate.ok ? "true" : "false");
+    write_file(out.json_path, json + "\n}", "--json");
+  }
+  const util::Table table = cell_table(cells, columns);
+  if (out.csv) {
+    table.print_csv(std::cout);  // gate failures go to stderr below
+  } else {
+    std::cout << "=== " << heading << ": " << params.group_count << " groups x "
+              << params.subscribers << " subscribers on " << params.peers
+              << " peers (D=" << params.dims << "), seed=" << params.seed << " ===\n\n";
+    table.print(std::cout);
+    std::cout << "\n";
+    for (const Gate& gate : verdict.gates)
+      std::cout << "acceptance: " << gate.text << ": " << (gate.ok ? "PASS" : "FAIL") << "\n";
+  }
+  for (const Gate& gate : verdict.gates)
+    if (!gate.ok)
+      std::cerr << "pubsub_throughput: " << mode << " gate failed: " << gate.key << "\n";
+  return all_ok ? 0 : 2;
+}
+
+// ---------------------------------------------------------------- modes ----
+
+/// cells_for(overlay, params) for each of three pinned seeds, own overlay each.
+template <class CellsFor>
+std::vector<CellResult> per_pinned_seed(const ScenarioParams& params, CellsFor cells_for) {
+  std::vector<CellResult> cells;
+  for (std::uint64_t seed = params.seed; seed < params.seed + 3; ++seed) {
+    ScenarioParams seeded = params;
+    seeded.seed = seed;
+    for (CellResult& cell : cells_for(overlay_for(params, seed), seeded))
+      cells.push_back(std::move(cell));
+  }
+  return cells;
+}
+
+/// Default: one standard cell at --qos/--loss, optionally traced and sampled.
+int run_single(const Overlay& overlay, const ScenarioParams& params, QoS qos, double loss,
+               const std::string& trace_path, const std::string& snapshot_path,
+               double snapshot_interval, const Output& out) {
+  std::optional<obs::TraceSink> sink;
+  if (!trace_path.empty()) sink.emplace(1u << 20);  // ~1M events: a full-size run
+  const CellSpec spec{.params = params, .qos = qos, .loss = loss, .trace = sink ? &*sink : nullptr,
+                      .snapshot = !snapshot_path.empty(), .snapshot_interval = snapshot_interval};
+  const std::vector<CellResult> cells{run_cell(overlay, spec, schedule_standard)};
+  const CellResult& cell = cells.front();
+  if (sink) {
+    std::ofstream trace_out(trace_path);
+    if (!trace_out) throw std::runtime_error("cannot write --trace file: " + trace_path);
+    obs::write_chrome_trace(trace_out, sink->events());
+    std::cerr << "pubsub_throughput: wrote " << sink->size() << " trace events ("
+              << sink->dropped() << " dropped) to " << trace_path << "\n";
+  }
+  if (spec.snapshot) write_file(snapshot_path, cell.snapshot_json, "--snapshot");
+  const double flooding = static_cast<double>(params.peers - 1);
+  const Verdict verdict{{
+      {"delivery_ratio", "delivery_ratio >= 0.99 at zero loss",
+       loss > 0.0 || cell.total.delivery_ratio() >= 0.99},
+      {"pruned_beats_flooding", "payload per publish below full dissemination (N-1 msgs)",
+       ratio(cell.total.payload_messages, cell.total.publishes) < flooding},
+  }};
+  return report("single", "pub/sub throughput", params, cells, {}, verdict, out);
+}
+
+/// --sweep: QoS 0/1/2 at each loss in {0, 0.05, 0.15}, with --midwave
+/// forwarder kills (default 4) instead of random churn.
+int run_sweep(const Overlay& overlay, const ScenarioParams& params, const Output& out) {
+  std::vector<CellResult> cells;
+  for (const double loss : {0.0, 0.05, 0.15})
+    for (const QoS qos : kRungs)
+      cells.push_back(
+          run_cell(overlay, {.params = params, .qos = qos, .loss = loss}, schedule_standard));
+  const std::size_t window = params.config.groups.retention_window;
+  double at5[3] = {};  // delivery ratio per rung at 5% loss
+  bool qos1_ok = true, retention_ok = true;
+  for (C c : cells) {
+    if (c.spec.loss == 0.05) at5[static_cast<int>(c.spec.qos)] = c.total.delivery_ratio();
+    // QoS 1 is blind to severed subtrees by design; at 15% loss that mixes in.
+    if (c.spec.qos == QoS::kAcked && c.spec.loss <= 0.05)
+      qos1_ok = qos1_ok && c.total.delivery_ratio() >= 0.99;
+    // Peak within the window, and no entries leaked across buffers.
+    if (c.spec.qos == QoS::kEndToEnd)
+      retention_ok = retention_ok && c.retained_peak <= window &&
+                     c.retained_entries <= c.retained_buffers * window;
+  }
+  const Verdict verdict{{
+      {"qos1_per_hop", "QoS 1 delivery_ratio >= 0.99 at loss points <= 5%", qos1_ok},
+      {"qos0_below_qos1", "at 5% loss QoS 0 visibly below QoS 1",
+       at5[1] >= 0.99 && at5[0] < at5[1] - 0.01},
+      {"qos2_end_to_end", "at 5% loss with mid-wave kills QoS 2 >= 0.9999, QoS 1 below",
+       at5[2] >= 0.9999 && at5[1] < 0.9999},
+      {"retention_bounded", "retained-buffer peak and entries within the window", retention_ok},
+  }};
+  return report("sweep", "QoS x loss sweep with mid-wave kills", params, cells,
+                {"loss", "qos", "kills", "severed=severed_subscribers", "publishes",
+                 "delivery_ratio", "retx_per_publish", "duplicates=duplicate_deliveries",
+                 "abandoned_hops", "payload_per_publish", "ack_msgs=ack_messages",
+                 "nacks=nacks_sent", "repairs=repairs_served", "escalations=repair_escalations",
+                 "gaps_abandoned=gap_seqs_abandoned", "mean_gap_latency", "dropped", "run_secs"},
+                verdict, out);
+}
+
+/// --batch-compare: bursts at every QoS rung, unbatched vs batched, no churn.
+int run_batch_compare(const Overlay& overlay, ScenarioParams params, const Output& out) {
+  params.departures = 0;
+  params.midwave = 0;
+  if (params.pub_burst <= 1) params.pub_burst = 8;
+  if (params.config.batch_window <= 0.0) params.config.batch_window = 0.1;
+  ScenarioParams unbatched = params;
+  unbatched.config.batch_window = 0.0;
+  std::vector<CellResult> cells;
+  for (const QoS qos : kRungs) {
+    CellResult base = run_cell(overlay, {.params = unbatched, .qos = qos}, schedule_standard);
+    CellResult coalesced = run_cell(overlay, {.params = params, .qos = qos}, schedule_standard);
+    base.identical = coalesced.identical = same_delivered(base, coalesced);
+    cells.push_back(std::move(base));
+    cells.push_back(std::move(coalesced));
+  }
+  const auto envelopes = [](C c) { return c.total.payload_messages + c.total.ack_messages; };
+  const double reduction = ratio(static_cast<double>(envelopes(cells[2])),
+                                 static_cast<double>(envelopes(cells[3])));  // the QoS 1 pair
+  const bool identical_ok =
+      std::all_of(cells.begin(), cells.end(), [](C c) { return c.identical; });
+  const Verdict verdict{
+      {{"identical", "delivered sets bit-identical at QoS 0/1/2", identical_ok},
+       {"reduction_ge_3x", "payload+ack envelopes reduced >= 3x at QoS 1", reduction >= 3.0}},
+      {{"delivered_sets_identical", identical_ok ? "true" : "false"},
+       {"payload_ack_reduction_qos1", json_number(reduction)}}};
+  return report("batch_compare", "batch compare, unbatched vs batched bursts", params, cells,
+                {"qos", "batch_window", "publishes", "delivery_ratio",
+                 "payload_msgs=payload_messages", "ack_msgs=ack_messages", "payload+ack",
+                 "nacks=nacks_sent", "retx=retransmissions", "waves",
+                 "occupancy=mean_batch_occupancy", "envelopes_saved",
+                 "identical_set=delivered_identical", "run_secs"},
+                verdict, out);
+}
+
+/// --graft-cost: per pinned seed, routed grafts at zero loss and again at
+/// 5% loss with mid-graft kills.
+int run_graft_cost(ScenarioParams params, const Output& out) {
+  // The graft workload runs on the library's defaults (no batching), as in
+  // every earlier measurement, with the flags' ack timeout and retries.
+  groups::PubSubConfig defaults;
+  defaults.reliability = params.config.reliability;
+  params.config = defaults;
+  const std::size_t churn_kills = std::max<std::size_t>(params.departures / 4, 2);
+  const auto cells = per_pinned_seed(params, [&](const Overlay& overlay, const ScenarioParams& p) {
+    return std::vector<CellResult>{
+        run_cell(overlay, {.name = "routed", .params = p, .qos = QoS::kAcked}, schedule_grafts),
+        run_cell(overlay,
+                 {.name = "routed+churn", .params = p, .qos = QoS::kAcked, .loss = 0.05,
+                  .graft_kills = churn_kills},
+                 schedule_grafts)};
+  });
+  bool fresh_ok = true, visible_ok = true, attached_ok = true, leak_ok = true;
+  for (C c : cells) {
+    const bool routed = c.spec.loss == 0.0;  // routed+churn runs at 5% loss
+    fresh_ok = fresh_ok && (!routed || (c.fresh_build_ok && c.total.grafts > 0));
+    visible_ok = visible_ok && c.net.control_envelopes > 0 &&
+                 (!routed || (c.total.graft_hops > 0 && c.net.graft_hops == c.total.graft_hops));
+    attached_ok = attached_ok && c.attached_ok;
+    leak_ok = leak_ok && c.inflight_grafts == 0;
+  }
+  const Verdict verdict{{
+      {"fresh_build", "zero-loss trees equal a fresh build over the membership", fresh_ok},
+      {"cost_visible", "graft hops and control envelopes visible in NetworkStats", visible_ok},
+      {"all_attached", "surviving subscribers attached under 5% loss + kills", attached_ok},
+      {"no_leaked_cursors", "no leaked in-flight graft cursors", leak_ok},
+  }};
+  return report("graft_cost", "graft cost, late half grafted", params, cells,
+                {"seed", "mode=cell", "loss", "kills", "subscribes", "grafts",
+                 "graft_msgs=graft_messages", "graft_hops", "hops_per_graft",
+                 "retries=graft_retries", "aborts=graft_aborts", "resubs=graft_resubscribes",
+                 "rescues=stranded_rescues", "control_env=control_envelopes", "delivery_ratio",
+                 "fresh_build=matches_fresh_build", "attached=attached_ok", "run_secs"},
+                verdict, out);
+}
+
+/// --latency: per pinned seed, every QoS rung at loss {0, 0.05}, churn off.
+int run_latency(ScenarioParams params, const Output& out) {
+  params.departures = 0;
+  params.midwave = 0;
+  const auto cells = per_pinned_seed(params, [](const Overlay& overlay, const ScenarioParams& p) {
+    std::vector<CellResult> seeded;
+    for (const double loss : {0.0, 0.05})
+      for (const QoS qos : kRungs)
+        seeded.push_back(
+            run_cell(overlay, {.params = p, .qos = qos, .loss = loss}, schedule_standard));
+    return seeded;
+  });
+  bool shape_ok = true, counts_ok = true, load_ok = true;
+  for (C c : cells) {
+    const auto& h = c.total.delivery_latency;
+    shape_ok = shape_ok && h.p50() <= h.p90() && h.p90() <= h.p99() && h.p99() <= h.max();
+    counts_ok = counts_ok && h.count() > 0 && h.p50() > 0.0 && h.count() == c.total.deliveries;
+    const auto send = load_of(c, true), recv = load_of(c, false);
+    load_ok = load_ok && send.max >= send.p99 && recv.max >= recv.p99 && send.max > 0;
+  }
+  const Verdict verdict{{
+      {"quantiles_ordered", "p50 <= p90 <= p99 <= max in every cell", shape_ok},
+      {"histogram_counts_deliveries", "histogram count == deliveries, p50 > 0", counts_ok},
+      {"load_summary_consistent", "per-peer load max >= p99, max > 0", load_ok},
+  }};
+  return report("latency", "publish->delivery latency, churn off", params, cells,
+                {"seed", "loss", "qos", "publishes", "deliveries", "delivery_ratio",
+                 "delivery_p50", "delivery_p90", "delivery_p99", "delivery_max", "gap_p50",
+                 "gap_p99", "send_load_max", "send_load_p99", "recv_load_max", "recv_load_p99",
+                 "run_secs"},
+                verdict, out);
+}
+
+/// --root-kill: per pinned seed, cold vs warm failover under root kills,
+/// plus a no-kill control pair.
+int run_root_kill(ScenarioParams params, const Output& out) {
+  params.departures = 0;
+  params.midwave = 0;
+  if (params.config.batch_window <= 0.0) params.config.batch_window = 0.05;
+  if (params.config.max_batch <= 1) params.config.max_batch = 16;
+  params.config.publisher_batch_window = 0.0;  // root-side batching only
+  params.config.graft_prefix_batch = false;
+  auto cells = per_pinned_seed(params, [](const Overlay& overlay, const ScenarioParams& p) {
+    const auto run = [&](const char* name, bool warm, bool kill) {
+      return run_cell(overlay,
+                      {.name = name, .params = p, .qos = QoS::kEndToEnd, .warm_failover = warm,
+                       .root_kill = kill},
+                      schedule_root_kill);
+    };
+    std::vector<CellResult> seeded{run("cold+kill", false, true), run("warm+kill", true, true),
+                                   run("cold", false, false), run("warm", true, false)};
+    seeded[2].identical = seeded[3].identical = same_delivered(seeded[2], seeded[3]);
+    return seeded;
+  });
+  bool kills_ok = true, cold_ok = true, warm_ok = true, ttf_ok = true, identity_ok = true;
+  for (std::size_t i = 0; i < cells.size(); i += 4) {
+    const CellResult &cold = cells[i], &warm = cells[i + 1], &base_cold = cells[i + 2],
+                     &base_warm = cells[i + 3];
+    kills_ok = kills_ok && cold.kills > 0 && cold.kills == warm.kills &&
+               cold.severed == warm.severed && cold.total.publishes == warm.total.publishes &&
+               warm.total.root_migrations == cold.total.root_migrations;
+    // Cold: the new root's empty RetainedBuffer abandons the severed repairs.
+    cold_ok = cold_ok && cold.total.gap_seqs_abandoned > 0 &&
+              cold.total.deliveries < cold.total.expected_deliveries &&
+              cold.total.batch_publishes_lost > 0 &&
+              cold.total.pending_publishes_inherited == 0 &&
+              cold.total.replica_sync_envelopes == 0 && cold.total.migration_envelopes == 0;
+    // Warm: >= 1 promotion per kill (groups may share a root).
+    warm_ok = warm_ok && warm.total.deliveries == warm.total.expected_deliveries &&
+              warm.total.gap_seqs_abandoned == 0 && warm.total.batch_publishes_lost == 0 &&
+              warm.total.pending_publishes_inherited > 0 &&
+              warm.total.warm_promotions >= warm.kills &&
+              warm.total.replica_sync_envelopes > 0 && warm.total.migration_envelopes > 0;
+    ttf_ok = ttf_ok && warm.first_post_kill >= 0.0 && cold.first_post_kill >= 0.0 &&
+             warm.first_post_kill < cold.first_post_kill;
+    // With nobody dying, warm replication is pure extra traffic.
+    identity_ok = identity_ok && base_cold.identical &&
+                  base_warm.total.replica_sync_envelopes > 0 &&
+                  base_cold.total.replica_sync_envelopes == 0;
+  }
+  const Verdict verdict{{
+      {"kills_consistent", "cold and warm cells kill identical victims", kills_ok},
+      {"cold_dip", "cold rebuild dips (abandons, ratio < 1, batch lost)", cold_ok},
+      {"warm_zero_dip", "warm failover erases the dip, handoff priced", warm_ok},
+      {"warm_faster_first_delivery", "warm resumes deliveries faster after the kill", ttf_ok},
+      {"no_kill_identical", "no-kill delivered sets bit-identical warm vs cold", identity_ok},
+  }};
+  return report("root_kill", "root kill, cold rebuild vs warm failover", params, cells,
+                {"seed", "cell", "kills", "severed=severed_subscribers", "publishes",
+                 "delivery_ratio", "gaps_abandoned=gap_seqs_abandoned",
+                 "batch_lost=batch_publishes_lost", "inherited=pending_publishes_inherited",
+                 "promotions=warm_promotions", "repl_sync=replica_sync_envelopes",
+                 "migr_env=migration_envelopes",
+                 "first_delivery=time_to_first_post_kill_delivery", "run_secs"},
+                verdict, out);
+}
+
+/// --hot-group: one hot group swept over root_replicas (default {1, 2, 4})
+/// at every QoS rung; R = 1 is the oracle.
+int run_hot_group(ScenarioParams params, const Output& out, std::vector<std::size_t> axis) {
   std::sort(axis.begin(), axis.end());
   axis.erase(std::unique(axis.begin(), axis.end()), axis.end());
   if (axis.empty() || axis.front() != 1) axis.insert(axis.begin(), 1);
   params.group_count = 1;
-
-  util::Rng rng(params.seed);
-  const auto points = geometry::random_points(rng, params.peers, dims, 100.0);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-  const double overlay_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  // Membership must be the same set in every cell, so no peer that is a
-  // slot root at ANY R on the axis subscribes or publishes (anchors are
-  // immutable and there is no churn, so a throwaway system per R names
-  // them exactly).
-  std::vector<bool> excluded(graph.size(), false);
+  const Overlay overlay = overlay_for(params, params.seed);
+  // Membership is the same in every cell: no slot root of ANY R on the axis
+  // subscribes or publishes (anchors are immutable and there is no churn,
+  // so a throwaway system per R names them exactly).
+  std::vector<bool> excluded(overlay.graph.size(), false);
+  std::vector<std::vector<PeerId>> slot_roots;
   for (const std::size_t r : axis) {
     groups::PubSubConfig probe;
     probe.seed = params.seed;
     probe.groups.root_replicas = r;
-    groups::PubSubSystem sys(graph, probe);
+    groups::PubSubSystem system(overlay.graph, probe);
+    auto& roots = slot_roots.emplace_back();
     for (std::uint32_t s = 0; s < r; ++s)
-      excluded[sys.manager().slot_root(0, s)] = true;
+      excluded[roots.emplace_back(system.manager().slot_root(0, s))] = true;
   }
-
-  const std::array<multicast::QoS, 3> rungs{multicast::QoS::kFireAndForget,
-                                            multicast::QoS::kAcked,
-                                            multicast::QoS::kEndToEnd};
-  std::vector<HotGroupCell> cells;
-  cells.reserve(axis.size() * rungs.size());  // oracle pointers must stay valid
-  std::map<int, const std::set<DeliveryKey>*> oracle;  // qos -> R=1 delivered set
-  bool identical_ok = true;
-  for (const std::size_t r : axis)
-    for (const auto qos : rungs) {
-      cells.push_back(run_hot_group_cell(graph, params, qos, r, excluded));
-      HotGroupCell& cell = cells.back();
-      const int q = static_cast<int>(qos);
-      if (r == 1) {
-        oracle[q] = &cell.delivered;
-      } else {
-        cell.delivered_identical = cell.delivered == *oracle[q];
-        identical_ok = identical_ok && cell.delivered_identical;
-        if (!cell.delivered_identical) {
-          // Diagnostics for the gate report: which side owns the skew.
-          std::vector<DeliveryKey> only_cell, only_oracle;
-          std::set_difference(cell.delivered.begin(), cell.delivered.end(),
-                              oracle[q]->begin(), oracle[q]->end(),
-                              std::back_inserter(only_cell));
-          std::set_difference(oracle[q]->begin(), oracle[q]->end(),
-                              cell.delivered.begin(), cell.delivered.end(),
-                              std::back_inserter(only_oracle));
-          std::cerr << "pubsub_throughput: hot-group R=" << r << " qos=" << q
-                    << " delivered set skew: +" << only_cell.size() << " / -"
-                    << only_oracle.size() << " vs oracle;";
-          for (std::size_t i = 0; i < std::min<std::size_t>(4, only_cell.size()); ++i)
-            std::cerr << " +(" << std::get<0>(only_cell[i]) << ","
-                      << std::get<2>(only_cell[i]) << ")";
-          for (std::size_t i = 0; i < std::min<std::size_t>(4, only_oracle.size()); ++i)
-            std::cerr << " -(" << std::get<0>(only_oracle[i]) << ","
-                      << std::get<2>(only_oracle[i]) << ")";
-          std::cerr << "\n";
-        }
-      }
+  const Schedule schedule = schedule_hot_group(excluded);
+  std::vector<CellResult> cells;
+  for (std::size_t i = 0; i < axis.size(); ++i)
+    for (const QoS qos : kRungs) {
+      ScenarioParams replicated = params;
+      replicated.config.groups.root_replicas = axis[i];
+      cells.push_back(run_cell(overlay, {.params = replicated, .qos = qos}, schedule));
+      cells.back().slot_roots = slot_roots[i];
     }
-
-  // Load gates, from the QoS 1 column: monotone non-increasing hot-root
-  // load along the axis, and >= 1.8x flattening at the axis maximum.
-  std::vector<std::pair<std::size_t, std::uint64_t>> hot_by_r;
-  for (const HotGroupCell& cell : cells)
-    if (cell.qos == multicast::QoS::kAcked)
-      hot_by_r.emplace_back(cell.replicas, cell.hot_root_load);
-  bool monotonic_ok = true;
-  for (std::size_t i = 1; i < hot_by_r.size(); ++i)
-    monotonic_ok = monotonic_ok && hot_by_r[i].second <= hot_by_r[i - 1].second;
-  // The >= 1.8x drop is the ISSUE's 1000-peer claim: subscribe/graft/publish
-  // control is what sharding splits, and on --quick's 200 peers the root's
-  // per-wave cost (which does NOT split R ways — every slot root drives
-  // every committed range over its shard tree) outweighs it. Smaller runs
-  // report the ratio without gating on it; monotonicity gates everywhere.
-  const bool flatten_gated =
-      hot_by_r.size() > 1 && hot_by_r.back().second > 0 && params.peers >= 1000;
-  const double flatten_ratio =
-      hot_by_r.size() > 1 && hot_by_r.back().second > 0
-          ? static_cast<double>(hot_by_r.front().second) /
-                static_cast<double>(hot_by_r.back().second)
-          : 0.0;
-  const bool flatten_ok = !flatten_gated || flatten_ratio >= 1.8;
-  const bool all_ok = identical_ok && monotonic_ok && flatten_ok;
-
-  util::Table table({"replicas", "qos", "publishes", "delivery_ratio", "control_env",
-                     "graft_hops", "seq_leases", "shard_waves", "handoffs",
-                     "send_max", "total_max", "total_p99", "hot_root_load",
-                     "identical", "run_secs"});
-  std::ostringstream cells_json;
-  for (const HotGroupCell& cell : cells) {
-    table.begin_row()
-        .add_number(static_cast<double>(cell.replicas), 0)
-        .add_number(static_cast<double>(cell.qos), 0)
-        .add_number(static_cast<double>(cell.total.publishes), 0)
-        .add_number(cell.total.delivery_ratio(), 5)
-        .add_number(static_cast<double>(cell.net.control_envelopes), 0)
-        .add_number(static_cast<double>(cell.total.graft_hops), 0)
-        .add_number(static_cast<double>(cell.total.seq_leases_granted), 0)
-        .add_number(static_cast<double>(cell.total.shard_waves), 0)
-        .add_number(static_cast<double>(cell.total.shard_handoffs), 0)
-        .add_number(static_cast<double>(cell.send_load.max), 0)
-        .add_number(static_cast<double>(cell.total_load.max), 0)
-        .add_number(static_cast<double>(cell.total_load.p99), 0)
-        .add_number(static_cast<double>(cell.hot_root_load), 0)
-        .add_cell(cell.delivered_identical ? "yes" : "NO")
-        .add_number(cell.run_secs, 3);
-    if (cells_json.tellp() > 0) cells_json << ",";
-    cells_json << "\n    " << hot_group_cell_json(cell);
-  }
-  if (!json_path.empty()) {
-    std::ostringstream json;
-    json.precision(10);
-    json << "{\n  \"bench\": \"pubsub_throughput\",\n  \"mode\": \"hot_group\",\n"
-         << "  \"params\": " << params_json(params) << ",\n  \"replica_axis\": [";
-    for (std::size_t i = 0; i < axis.size(); ++i)
-      json << (i > 0 ? "," : "") << axis[i];
-    json << "],\n  \"overlay_secs\": " << overlay_secs << ",\n  \"cells\": ["
-         << cells_json.str() << "\n  ],\n  \"hot_root_load_qos1\": {";
-    for (std::size_t i = 0; i < hot_by_r.size(); ++i)
-      json << (i > 0 ? "," : "") << "\"" << hot_by_r[i].first
-           << "\":" << hot_by_r[i].second;
-    json << "},\n  \"load_flatten_ratio\": " << flatten_ratio
-         << ",\n  \"flatten_gated\": " << (flatten_gated ? "true" : "false")
-         << ",\n  \"gate_delivered_identical\": " << (identical_ok ? "true" : "false")
-         << ",\n  \"gate_hot_root_monotonic\": " << (monotonic_ok ? "true" : "false")
-         << ",\n  \"gate_hot_root_flatten_1_8x\": " << (flatten_ok ? "true" : "false")
-         << "\n}";
-    write_json_file(json_path, json.str());
-  }
-  if (csv) {
-    table.print_csv(std::cout);
-  } else {
-    std::cout << "=== hot group: 1 group, all eligible peers subscribed on "
-              << graph.size() << " peers (D=" << dims << "), bursts of "
-              << params.pub_burst << ", batch_window=" << params.batch_window
-              << ", publisher_batch_window=" << params.publisher_batch_window
-              << ", replicas axis {";
-    for (std::size_t i = 0; i < axis.size(); ++i)
-      std::cout << (i > 0 ? ", " : "") << axis[i];
-    std::cout << "}, seed=" << params.seed << " (overlay built in "
-              << util::format_number(overlay_secs, 2) << "s) ===\n\n";
-    table.print(std::cout);
-    std::cout << "\nacceptance: delivered (peer, group, seq) sets bit-identical to"
-                 " R=1 at every QoS rung: "
-              << (identical_ok ? "PASS" : "FAIL")
-              << "\nacceptance: hot-root load max flattens monotonically along the"
-                 " replica axis (QoS 1): "
-              << (monotonic_ok ? "PASS" : "FAIL")
-              << "\nacceptance: hot-root load max drops >= 1.8x at R="
-              << axis.back() << " vs R=1: "
-              << (flatten_ok ? (flatten_gated ? "PASS" : "PASS (not gated)")
-                             : "FAIL")
-              << " (" << util::format_number(flatten_ratio, 2) << "x)\n";
-  }
-  if (!all_ok)
-    std::cerr << "pubsub_throughput: hot-group gate failed (identical="
-              << identical_ok << ", monotonic=" << monotonic_ok
-              << ", flatten=" << flatten_ratio << ")\n";
-  return all_ok ? 0 : 2;
+  for (std::size_t i = 0; i < cells.size(); ++i)  // cells[i % 3]: R = 1, same rung
+    cells[i].identical = same_delivered(cells[i], cells[i % std::size(kRungs)]);
+  std::vector<std::uint64_t> hot;  // QoS 1 hot-root load along the axis
+  std::string axis_json, hot_json;
+  for (C c : cells)
+    if (c.spec.qos == QoS::kAcked) {
+      const std::string r = std::to_string(c.spec.params.config.groups.root_replicas);
+      const char* sep = hot.empty() ? "" : ",";
+      hot.push_back(hot_root_load(c));
+      axis_json.append(sep).append(r);
+      hot_json.append(sep).append("\"" + r + "\":" + std::to_string(hot.back()));
+    }
+  const bool flatten_gated = hot.size() > 1 && hot.back() > 0 && params.peers >= 1000;
+  const double flatten = hot.size() > 1 ? ratio(hot.front(), hot.back()) : 0.0;
+  const Verdict verdict{
+      {{"delivered_identical", "delivered sets bit-identical to R=1 at every QoS rung",
+        std::all_of(cells.begin(), cells.end(), [](C c) { return c.identical; })},
+       {"hot_root_monotonic", "QoS 1 hot-root load non-increasing along the axis",
+        std::is_sorted(hot.rbegin(), hot.rend())},
+       {"hot_root_flatten_1_8x",
+        std::string("QoS 1 hot-root load drops >= 1.8x at the axis maximum") +
+            (flatten_gated ? "" : " (not gated below 1000 peers)"),
+        !flatten_gated || flatten >= 1.8}},
+      {{"replica_axis", "[" + axis_json + "]"},
+       {"hot_root_load_qos1", "{" + hot_json + "}"},
+       {"load_flatten_ratio", json_number(flatten)},
+       {"flatten_gated", flatten_gated ? "true" : "false"}}};
+  return report("hot_group", "hot group (all eligible peers join), replicas {" + axis_json + "}",
+                params, cells,
+                {"replicas", "qos", "publishes", "delivery_ratio",
+                 "control_env=control_envelopes", "graft_hops", "seq_leases=seq_leases_granted",
+                 "shard_waves", "handoffs=shard_handoffs", "send_max=send_load_max",
+                 "total_max=total_load_max", "total_p99=total_load_p99", "hot_root_load",
+                 "identical=delivered_identical", "run_secs"},
+                verdict, out);
 }
 
 }  // namespace
@@ -1575,39 +1074,36 @@ int main(int argc, char** argv) {
     const util::Flags flags(argc, argv);
     ScenarioParams params;
     params.peers = static_cast<std::size_t>(flags.get_int("peers", 1000));
-    const auto dims = static_cast<std::size_t>(flags.get_int("dims", 3));
+    params.dims = static_cast<std::size_t>(flags.get_int("dims", 3));
     params.group_count = static_cast<std::size_t>(flags.get_int("groups", 32));
     params.subscribers = static_cast<std::size_t>(flags.get_int("subscribers", 32));
     params.publishes = static_cast<std::size_t>(flags.get_int("publishes", 8));
     params.departures = static_cast<std::size_t>(flags.get_int("departures", 24));
-    params.ack_timeout = flags.get_double("ack-timeout", 0.05);
-    params.max_retries = static_cast<std::size_t>(flags.get_int("retries", 5));
-    params.retention_window = static_cast<std::size_t>(flags.get_int("retention", 64));
-    params.batch_window = flags.get_double("batch-window", 0.0);
-    params.max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 16));
+    groups::PubSubConfig& config = params.config;
+    config.reliability.ack_timeout = flags.get_double("ack-timeout", 0.05);
+    config.reliability.max_retries = static_cast<std::size_t>(flags.get_int("retries", 5));
+    config.groups.retention_window = static_cast<std::size_t>(flags.get_int("retention", 64));
+    config.batch_window = flags.get_double("batch-window", 0.0);
+    config.max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 16));
     params.pub_burst = static_cast<std::size_t>(flags.get_int("pub-burst", 1));
+    config.publisher_batch_window = flags.get_double("publisher-batch-window", 0.0);
+    config.graft_prefix_batch = flags.get_bool("graft-prefix-batch", false);
     params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     const double loss = flags.get_double("loss", 0.0);
     const std::int64_t qos_level = flags.get_int("qos", 0);
-    if (qos_level < 0 || qos_level > 2)
-      throw std::invalid_argument("--qos must be 0, 1 or 2");
-    const auto qos = static_cast<multicast::QoS>(qos_level);
-    const bool csv = flags.get_bool("csv", false);
+    if (qos_level < 0 || qos_level > 2) throw std::invalid_argument("--qos must be 0, 1 or 2");
+    const Output out{flags.get_bool("csv", false), flags.get_string("json", "")};
     const bool sweep = flags.get_bool("sweep", false);
     const bool batch_compare = flags.get_bool("batch-compare", false);
     const bool graft_cost = flags.get_bool("graft-cost", false);
     const bool latency = flags.get_bool("latency", false);
     const bool root_kill = flags.get_bool("root-kill", false);
     const bool hot_group = flags.get_bool("hot-group", false);
-    params.publisher_batch_window = flags.get_double("publisher-batch-window", 0.0);
-    params.graft_prefix_batch = flags.get_bool("graft-prefix-batch", false);
-    const std::string json_path = flags.get_string("json", "");
     const std::string trace_path = flags.get_string("trace", "");
     const std::string snapshot_path = flags.get_string("snapshot", "");
     const double snapshot_interval = flags.get_double("snapshot-interval", 0.5);
-    // Sweep mode gates on subtree repair, so its departures are mid-wave
-    // forwarder kills; random churn (which removes subscribers outright)
-    // stays a non-sweep knob.
+    // The sweep gates on subtree repair, so its departures are mid-wave
+    // forwarder kills rather than random churn.
     params.midwave = static_cast<std::size_t>(flags.get_int("midwave", sweep ? 4 : 0));
     if (sweep) params.departures = 0;
     if (flags.get_bool("quick", false)) {
@@ -1615,175 +1111,37 @@ int main(int argc, char** argv) {
       params.group_count = 8;
       params.departures = sweep ? 0 : 6;
       if (batch_compare) params.publishes = std::max<std::size_t>(params.publishes, 16);
-      // One kill: at 200 peers a severed subtree is a big enough slice of
-      // the traffic that two would push QoS 1 below the >= 0.99 per-hop
-      // gate for reasons that have nothing to do with link loss.
+      // One kill: two severed subtrees of 200 peers sink QoS 1 below 0.99.
       if (sweep && !flags.has("midwave")) params.midwave = 1;
-      // Root-kill selection needs an unsubscribed non-leaf child of every
-      // root; at 200 peers the default 32-per-group membership blankets
-      // the roots' neighborhoods and starves the victim pool.
+      // Root kills need unsubscribed relays near every root.
       if (root_kill && !flags.has("subscribers"))
         params.subscribers = std::min<std::size_t>(params.subscribers, 12);
     }
-
-    // Hot group (ISSUE 10): one group, all eligible peers subscribed,
-    // burst publishes, swept over the --replicas axis at every QoS rung.
-    // Defaults make the workload the regime replica sharding exists for:
-    // bursts of 8 coalesced at both ends (root batching + publisher
-    // batching) with prefix-batched grafts on.
+    if (params.subscribers == 0) throw std::invalid_argument("--subscribers must be >= 1");
+    // Hot-group defaults: bursts coalesced at both ends, prefix-batched grafts.
     std::vector<std::size_t> replica_axis;
     if (hot_group) {
       if (!flags.has("publishes")) params.publishes = 64;
       if (!flags.has("pub-burst")) params.pub_burst = 8;
-      if (!flags.has("batch-window")) params.batch_window = 0.05;
-      if (!flags.has("publisher-batch-window")) params.publisher_batch_window = 0.02;
-      if (!flags.has("graft-prefix-batch")) params.graft_prefix_batch = true;
+      if (!flags.has("batch-window")) config.batch_window = 0.05;
+      if (!flags.has("publisher-batch-window")) config.publisher_batch_window = 0.02;
+      if (!flags.has("graft-prefix-batch")) config.graft_prefix_batch = true;
       for (const std::int64_t r : flags.get_int_list("replicas", {1, 2, 4})) {
         if (r < 1) throw std::invalid_argument("--replicas entries must be >= 1");
         replica_axis.push_back(static_cast<std::size_t>(r));
       }
     }
-    // Every flag any mode reads has been read by now; anything else (a
-    // typo, --replicas outside --hot-group, a retired mode) is an error.
+    // Any flag no mode has read by now (a typo, a retired mode) is an error.
     flags.reject_unread();
-    if (hot_group) return run_hot_group(params, dims, csv, json_path, std::move(replica_axis));
-
-    // Graft-cost, latency, and root-kill build one overlay per pinned seed
-    // themselves; dispatch before paying for the shared overlay below.
-    if (graft_cost) return run_graft_cost(params, dims, csv, json_path);
-    if (latency) return run_latency(params, dims, csv, json_path);
-    if (root_kill) return run_root_kill(params, dims, csv, json_path);
-
-    util::Rng rng(params.seed);
-    const auto points = geometry::random_points(rng, params.peers, dims, 100.0);
-    const auto t_overlay = std::chrono::steady_clock::now();
-    const auto graph = overlay::build_equilibrium(points, overlay::EmptyRectSelector{});
-    const double overlay_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t_overlay).count();
-
-    if (batch_compare) return run_batch_compare(graph, params, csv, json_path, overlay_secs);
-    if (sweep) return run_sweep(graph, params, csv, overlay_secs);
-
-    obs::TraceSink sink(1u << 20);  // ~1M events: covers a full-size run
-    std::string snapshot_json;
-    const auto outcome = run_scenario(
-        graph, params, qos, loss, /*delivered_out=*/nullptr,
-        trace_path.empty() ? nullptr : &sink,
-        snapshot_path.empty() ? nullptr : &snapshot_json, snapshot_interval);
-    if (!trace_path.empty()) {
-      std::ofstream trace_out(trace_path);
-      if (!trace_out) throw std::runtime_error("cannot write --trace file: " + trace_path);
-      obs::write_chrome_trace(trace_out, sink.events());
-      std::cerr << "pubsub_throughput: wrote " << sink.size() << " trace events ("
-                << sink.dropped() << " dropped) to " << trace_path << "\n";
-    }
-    if (!snapshot_path.empty()) write_json_file(snapshot_path, snapshot_json);
-    if (!json_path.empty())
-      write_json_file(json_path,
-                      "{\n  \"bench\": \"pubsub_throughput\",\n  \"params\": " +
-                          params_json(params) + ",\n  \"run\": " +
-                          scenario_json(params, qos, loss, outcome) + "\n}");
-    const auto& total = outcome.total;
-    const double full_dissemination = static_cast<double>(params.peers - 1);
-    const double publishes_per_sec =
-        outcome.run_secs > 0.0
-            ? static_cast<double>(total.publishes) / outcome.run_secs
-            : 0.0;
-
-    util::Table table({"metric", "value"});
-    auto row = [&table](const std::string& name, double value, int decimals = 3) {
-      table.begin_row().add_cell(name).add_number(value, decimals);
-    };
-    row("peers", static_cast<double>(params.peers), 0);
-    row("groups", static_cast<double>(params.group_count), 0);
-    row("subscribers_per_group", static_cast<double>(params.subscribers), 0);
-    row("departures", static_cast<double>(outcome.scheduled_departures), 0);
-    row("midwave_kills", static_cast<double>(outcome.midwave_kills), 0);
-    row("severed_subscribers", static_cast<double>(outcome.severed_subscribers), 0);
-    row("loss", loss);
-    row("qos", static_cast<double>(qos), 0);
-    row("overlay_build_secs", overlay_secs);
-    row("sim_events", static_cast<double>(outcome.events), 0);
-    row("run_secs", outcome.run_secs);
-    row("publishes", static_cast<double>(total.publishes), 0);
-    row("publishes_per_sec", publishes_per_sec, 1);
-    row("delivery_ratio", total.delivery_ratio(), 5);
-    row("deliveries", static_cast<double>(total.deliveries), 0);
-    row("expected_deliveries", static_cast<double>(total.expected_deliveries), 0);
-    row("duplicates", static_cast<double>(total.duplicate_deliveries), 0);
-    row("payload_msgs_per_publish", outcome.payload_per_publish(), 2);
-    row("full_dissemination_msgs", full_dissemination, 0);
-    row("ack_msgs", static_cast<double>(total.ack_messages), 0);
-    row("retransmissions", static_cast<double>(total.retransmissions), 0);
-    row("retx_per_publish", outcome.retx_per_publish(), 2);
-    row("batch_flushes_window", static_cast<double>(total.batch_flushes_window), 0);
-    row("batch_flushes_full", static_cast<double>(total.batch_flushes_full), 0);
-    row("mean_batch_occupancy", total.mean_batch_occupancy(), 2);
-    row("envelopes_saved", static_cast<double>(total.envelopes_saved), 0);
-    row("batch_publishes_lost", static_cast<double>(total.batch_publishes_lost), 0);
-    row("abandoned_hops", static_cast<double>(total.abandoned_hops), 0);
-    row("gap_seqs_detected", static_cast<double>(total.gap_seqs_detected), 0);
-    row("gap_seqs_repaired", static_cast<double>(total.gap_seqs_repaired), 0);
-    row("gap_seqs_abandoned", static_cast<double>(total.gap_seqs_abandoned), 0);
-    row("nacks_sent", static_cast<double>(total.nacks_sent), 0);
-    row("nack_deferrals", static_cast<double>(total.nack_deferrals), 0);
-    row("repairs_served", static_cast<double>(total.repairs_served), 0);
-    row("repair_misses", static_cast<double>(total.repair_misses), 0);
-    row("repair_escalations", static_cast<double>(total.repair_escalations), 0);
-    row("mean_gap_latency", total.mean_gap_latency(), 4);
-    row("retained_evictions", static_cast<double>(total.retained_evictions), 0);
-    row("retained_peak", static_cast<double>(outcome.retained_peak), 0);
-    row("pre_window_deliveries", static_cast<double>(total.pre_window_deliveries), 0);
-    row("control_msgs", static_cast<double>(total.control_messages), 0);
-    row("stranded_msgs", static_cast<double>(total.stranded_messages), 0);
-    row("tree_builds", static_cast<double>(total.tree_builds), 0);
-    row("build_msgs", static_cast<double>(total.build_messages), 0);
-    row("cache_hits", static_cast<double>(total.cache_hits), 0);
-    row("grafts", static_cast<double>(total.grafts), 0);
-    row("repairs", static_cast<double>(total.repairs), 0);
-    row("repair_msgs", static_cast<double>(total.repair_messages), 0);
-    row("repair_failures", static_cast<double>(total.repair_failures), 0);
-    row("root_migrations", static_cast<double>(total.root_migrations), 0);
-    row("stranded_subscribers", static_cast<double>(total.stranded_subscribers), 0);
-    row("maintenance_msgs_per_publish", total.maintenance_per_publish(), 2);
-    row("network_dropped", static_cast<double>(outcome.net.dropped), 0);
-    row("network_retransmitted", static_cast<double>(outcome.net.retransmitted), 0);
-    row("network_abandoned_hops", static_cast<double>(outcome.net.abandoned_hops), 0);
-    row("delivery_latency_p50", total.delivery_latency.p50(), 4);
-    row("delivery_latency_p90", total.delivery_latency.p90(), 4);
-    row("delivery_latency_p99", total.delivery_latency.p99(), 4);
-    row("delivery_latency_max", total.delivery_latency.max(), 4);
-    row("gap_repair_latency_p50", total.gap_repair_latency.p50(), 4);
-    row("gap_repair_latency_p99", total.gap_repair_latency.p99(), 4);
-    row("graft_latency_p50", total.graft_latency.p50(), 4);
-    row("graft_latency_p99", total.graft_latency.p99(), 4);
-    const auto send_load = obs::summarize_load(outcome.net.sent_by_node);
-    const auto recv_load = obs::summarize_load(outcome.net.received_by_node);
-    row("send_load_max", static_cast<double>(send_load.max), 0);
-    row("send_load_p99", static_cast<double>(send_load.p99), 0);
-    row("recv_load_max", static_cast<double>(recv_load.max), 0);
-    row("recv_load_p99", static_cast<double>(recv_load.p99), 0);
-
-    const bool ratio_ok = loss > 0.0 || total.delivery_ratio() >= 0.99;
-    const bool pruned_ok = outcome.payload_per_publish() < full_dissemination;
-    if (csv) {
-      table.print_csv(std::cout);
-      if (!ratio_ok || !pruned_ok)  // keep stdout machine-readable
-        std::cerr << "pubsub_throughput: acceptance gate failed (ratio_ok="
-                  << ratio_ok << ", pruned_ok=" << pruned_ok << ")\n";
-    } else {
-      std::cout << "=== pub/sub throughput: " << params.group_count << " groups x "
-                << params.subscribers << " subscribers on " << params.peers
-                << " peers (D=" << dims << "), " << outcome.scheduled_departures
-                << " departures, loss=" << loss << ", qos="
-                << static_cast<int>(qos) << ", seed=" << params.seed << " ===\n\n";
-      table.print(std::cout);
-      std::cout << "\nacceptance: delivery_ratio >= 0.99 at zero loss: "
-                << (ratio_ok ? "PASS" : "FAIL")
-                << "\nacceptance: pruned tree beats full dissemination per publish: "
-                << (pruned_ok ? "PASS" : "FAIL") << "\n";
-    }
-    return ratio_ok && pruned_ok ? 0 : 2;
+    if (hot_group) return run_hot_group(params, out, std::move(replica_axis));
+    if (graft_cost) return run_graft_cost(params, out);
+    if (latency) return run_latency(params, out);
+    if (root_kill) return run_root_kill(params, out);
+    const Overlay overlay = overlay_for(params, params.seed);
+    if (batch_compare) return run_batch_compare(overlay, params, out);
+    if (sweep) return run_sweep(overlay, params, out);
+    return run_single(overlay, params, static_cast<QoS>(qos_level), loss, trace_path,
+                      snapshot_path, snapshot_interval, out);
   } catch (const std::exception& error) {
     std::cerr << "pubsub_throughput: " << error.what() << '\n';
     return 1;

@@ -10,6 +10,7 @@
 //
 // Run:  ./cloud_leases [--vms=400] [--dims=3] [--k=3] [--seed=11]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/graph_metrics.hpp"
 #include "overlay/equilibrium.hpp"
@@ -28,6 +29,12 @@ int main(int argc, char** argv) {
   const auto dims = static_cast<std::size_t>(flags.get_int("dims", 3));
   const auto k = static_cast<std::size_t>(flags.get_int("k", 3));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
+  try {
+    flags.reject_unread();
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "cloud_leases: " << error.what() << '\n';
+    return 1;
+  }
 
   // Leases expire uniformly over the next 1000 minutes; the expiry time is
   // each VM's first virtual coordinate, the rest encode rack/zone locality.

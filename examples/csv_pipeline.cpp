@@ -90,13 +90,17 @@ int main(int argc, char** argv) {
     const auto input = flags.get_string("input", "-");
     const auto output = flags.get_string("output", "-");
     const auto root = static_cast<overlay::PeerId>(flags.get_int("root", 0));
+    const auto emit = flags.get_string("emit", "analysis");
+    // Used only without --input; read up front so reject_unread sees them.
+    const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
+    const auto peers = static_cast<std::size_t>(flags.get_int("peers", 100));
+    const auto dims = static_cast<std::size_t>(flags.get_int("dims", 2));
+    flags.reject_unread();
 
     std::vector<geometry::Point> points;
     if (input == "-") {
-      util::Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 21)));
-      points = geometry::random_points(
-          rng, static_cast<std::size_t>(flags.get_int("peers", 100)),
-          static_cast<std::size_t>(flags.get_int("dims", 2)));
+      util::Rng rng(seed);
+      points = geometry::random_points(rng, peers, dims);
     } else {
       std::ifstream file(input);
       if (!file) {
@@ -114,7 +118,7 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    if (flags.get_string("emit", "analysis") == "points") {
+    if (emit == "points") {
       const auto table = points_table(points);
       if (output == "-") {
         table.print_csv(std::cout);

@@ -9,6 +9,7 @@
 // Run:  ./overlay_svg [--peers=120] [--seed=9] [--root=0] [--out=overlay.svg]
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "geometry/random_points.hpp"
 #include "multicast/space_partition.hpp"
@@ -35,6 +36,12 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
   const auto root = static_cast<overlay::PeerId>(flags.get_int("root", 0));
   const auto path = flags.get_string("out", "overlay.svg");
+  try {
+    flags.reject_unread();
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "overlay_svg: " << error.what() << '\n';
+    return 1;
+  }
 
   util::Rng rng(seed);
   const auto points = geometry::random_points(rng, peers, 2);

@@ -7,6 +7,7 @@
 //
 // Run:  ./quickstart [--peers=200] [--dims=2] [--seed=7]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/graph_metrics.hpp"
 #include "geometry/random_points.hpp"
@@ -23,6 +24,12 @@ int main(int argc, char** argv) {
   const auto peers = static_cast<std::size_t>(flags.get_int("peers", 200));
   const auto dims = static_cast<std::size_t>(flags.get_int("dims", 2));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  try {
+    flags.reject_unread();
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "quickstart: " << error.what() << '\n';
+    return 1;
+  }
 
   // 1. Identifiers: uniform coordinates in [0, VMAX]^D, distinct per
   //    dimension (the paper's standing assumption).

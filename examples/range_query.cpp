@@ -10,6 +10,7 @@
 //
 // Run:  ./range_query [--peers=500] [--seed=13] [--lo=20] [--hi=45]
 #include <iostream>
+#include <stdexcept>
 
 #include "geometry/random_points.hpp"
 #include "multicast/range_multicast.hpp"
@@ -25,6 +26,12 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 13));
   const double lo = flags.get_double("lo", 200.0);
   const double hi = flags.get_double("hi", 450.0);
+  try {
+    flags.reject_unread();
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "range_query: " << error.what() << '\n';
+    return 1;
+  }
 
   util::Rng rng(seed);
   const auto points = geometry::random_points(rng, peers, 2);

@@ -13,6 +13,7 @@
 //
 // Run:  ./sensor_network [--sensors=300] [--seed=5]
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/graph_metrics.hpp"
 #include "multicast/protocol.hpp"
@@ -31,6 +32,12 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   const auto sensors = static_cast<std::size_t>(flags.get_int("sensors", 300));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
+  try {
+    flags.reject_unread();
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "sensor_network: " << error.what() << '\n';
+    return 1;
+  }
 
   // Battery horizons (hours) + field positions; the battery horizon is the
   // first coordinate per §3.

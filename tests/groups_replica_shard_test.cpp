@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "golden/groups_replica_shard.hpp"
 #include "groups_test_util.hpp"
 #include "obs/snapshot.hpp"
 
@@ -33,6 +35,7 @@ using DeliveredSet = std::set<std::pair<PeerId, std::uint64_t>>;
 struct CellResult {
   DeliveredSet delivered;
   bool probe_duplicates = false;  // same (peer, seq) reported twice
+  std::vector<testutil::DeliveryTuple> tuples;  // every probe report, timed
   GroupStats stats;
 };
 
@@ -86,8 +89,9 @@ CellResult run_cell(const overlay::OverlayGraph& graph, const CellConfig& cell) 
   PubSubSystem system(graph, config);
   CellResult result;
   system.set_delivery_probe(
-      [&result](PeerId p, GroupId, std::uint64_t seq, double) {
+      [&result](PeerId p, GroupId group, std::uint64_t seq, double t) {
         if (!result.delivered.emplace(p, seq).second) result.probe_duplicates = true;
+        result.tuples.emplace_back(p, group, seq, t);
       });
   const auto members = subscribe_members(system, graph, g, 16, 211);
   for (std::size_t i = 0; i < 12; ++i)
@@ -198,11 +202,18 @@ TEST(GroupsReplicaShardTest, DeliveredSetsMatchTheSingleRootOracleAcrossCells) {
       {1, multicast::QoS::kEndToEnd, false, 0.0, 0.05},
       {1, multicast::QoS::kEndToEnd, true, 0.05, 0.05},
   };
-  for (const CellConfig& base : cells) {
+  static_assert(std::size(cells) == std::size(golden::kReplicaShardOraclePins));
+  for (std::size_t i = 0; i < std::size(cells); ++i) {
+    const CellConfig& base = cells[i];
     CellConfig oracle_cell = base;
     oracle_cell.replicas = 1;
     const CellResult oracle = run_cell(graph, oracle_cell);
     ASSERT_FALSE(oracle.delivered.empty());
+    // The R = 1 oracle itself is pinned, so it keeps its meaning when the
+    // single-root pipeline changes underneath it.
+    EXPECT_EQ(testutil::delivered_digest(oracle.tuples),
+              golden::kReplicaShardOraclePins[i])
+        << "R=1 oracle cell " << i;
     // The oracle delivers everything: 16 subscribers x 12 publishes.
     EXPECT_EQ(oracle.delivered.size(), 16u * 12u);
     EXPECT_FALSE(oracle.probe_duplicates);

@@ -1,15 +1,15 @@
 // Shared workload helpers for the groups/QoS test batteries: seeded
-// overlay construction, deterministic membership selection, and dry-run
-// leaf discovery. Mid-wave forwarder kills live in the library
-// (groups/failure_injection.hpp) so the bench drives the identical
-// scenario. Header-only so the per-file test executables (tests/*.cpp
-// glob) stay one-source each.
+// overlay construction, deterministic membership selection, dry-run leaf
+// discovery, and the hashes golden pins compare (the delivered-set digest
+// itself lives in obs/digest.hpp, shared with the bench). Mid-wave
+// forwarder kills live in the library (groups/failure_injection.hpp) so
+// the bench drives the identical scenario. Header-only so the per-file
+// test executables (tests/*.cpp glob) stay one-source each.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -17,6 +17,7 @@
 
 #include "geometry/random_points.hpp"
 #include "groups/pubsub.hpp"
+#include "obs/digest.hpp"
 #include "overlay/empty_rect.hpp"
 #include "overlay/equilibrium.hpp"
 #include "util/rng.hpp"
@@ -99,30 +100,14 @@ inline bool member_sized(const GroupTree& gt) {
 /// One application-level delivery as the probe reports it.
 using DeliveryTuple = std::tuple<PeerId, GroupId, std::uint64_t, double>;
 
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Order-independent 128-bit digest of delivered (peer, group, seq, time)
-/// tuples, as 32 hex digits: two 64-bit sums of per-tuple hashes, with the
-/// time hashed by its exact bit pattern. Golden pins compare it, so a
+/// tuples, as 32 hex digits (obs/digest.hpp). Golden pins compare it, so a
 /// change to who gets what when fails even if it moves every code path.
 inline std::string delivered_digest(const std::vector<DeliveryTuple>& delivered) {
-  std::uint64_t lo = 0, hi = 0;
-  for (const auto& [peer, group, seq, time] : delivered) {
-    std::uint64_t time_bits = 0;
-    std::memcpy(&time_bits, &time, sizeof time_bits);
-    const std::uint64_t h = mix64(peer ^ mix64(group ^ mix64(seq ^ mix64(time_bits))));
-    lo += mix64(h ^ 0x6c6f77ULL);
-    hi += mix64(h ^ 0x68696768ULL);
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx", static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(lo));
-  return buf;
+  obs::DeliveryDigest digest;
+  for (const auto& [peer, group, seq, time] : delivered)
+    digest.add(obs::delivery_hash(peer, group, seq, time));
+  return digest.hex();
 }
 
 /// 64-bit FNV-1a of a stats JSON string, as 16 hex digits.
